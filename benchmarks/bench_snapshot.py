@@ -1,27 +1,24 @@
-"""Snapshot format A/B: v1 npz-per-object vs v2 packed columnar blocks.
+"""Snapshot cold start: load + first prediction, mmap vs materialised.
 
-The cold-start path is the last unvectorised hot path: a shard worker
-that restarts (SIGKILL -> backoff -> reload its ring slice) and a
-``PredictionService.from_snapshot`` boot both pay decompression,
-per-row Python reconstruction, and a full lazy ``ScoreKernel.build``
-before the first prediction.  Format v2 (``repro.core.snapshot2``)
-stores packed columnar blocks plus the serialised TPT structure and
-kernel tables, so a loader maps the blocks and replays structure
-instead of re-deriving it.
+A shard worker that restarts (SIGKILL -> backoff -> reload its ring
+slice) and a ``PredictionService.from_snapshot`` boot both start from a
+snapshot.  The packed format (``repro.core.persistence``) stores flat
+columnar blocks plus the serialised TPT structure and kernel tables, so
+a loader maps the blocks and replays structure instead of re-deriving
+it.  This bench times that path.
 
-Methodology: one fleet is fitted once and saved in both formats.
-Every timing probe runs in a **fresh subprocess** (cold imports, cold
-page cache for the process, honest ``ru_maxrss``) and measures, inside
-the process, wall-clock for ``load_fleet`` and for the first prediction
-on every object.  The restart drill splits both snapshots into shards
-and times a single shard worker's slice load + first prediction — the
-exact recovery path of ``repro.serve.shard``.  Before any timing, the
-state + prediction SHA-256 fingerprints of v1, v2-mmap, and
-v2-materialised loads are checked against the fitted fleet; any
-divergence fails the run.
-
-Non-smoke runs fail unless the v2 mmap cold start (load + first
-prediction) is at least ``SPEEDUP_GATE``x faster than v1's.
+Methodology: one fleet is fitted once and saved.  Before any timing,
+the state + prediction SHA-256 fingerprints of the mmap and the
+materialised loads are checked against the fitted fleet; any divergence
+fails the run.  Every timing probe then runs in a **fresh subprocess**
+(cold imports) and measures, inside the process, wall-clock for
+``load_fleet`` and for the first prediction on every object, plus the
+probe's own peak RSS (``VmHWM`` from ``/proc/self/status``; not
+``ru_maxrss``, which a child inherits from its parent across
+fork+exec).  The restart drill splits the snapshot into shards and
+times a single shard worker's slice load + first prediction — the exact
+recovery path of ``repro.serve.shard``.  Each probe reports the median
+run of ``--repeats`` and the min/max of its total.
 
     PYTHONPATH=src python benchmarks/bench_snapshot.py            # full, writes BENCH_snapshot.json
     PYTHONPATH=src python benchmarks/bench_snapshot.py --smoke    # CI-sized
@@ -31,7 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
+import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -39,7 +37,6 @@ import tempfile
 import time
 from pathlib import Path
 
-SPEEDUP_GATE = 3.0
 PROBE_WINDOW = 3
 
 
@@ -66,6 +63,17 @@ def first_predict_all(fleet) -> None:
         model.predict(recent, start_time + PROBE_WINDOW + 2)
 
 
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set (VmHWM), in MB."""
+    try:
+        for line in Path("/proc/self/status").read_text().splitlines():
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def run_probe(args) -> int:
     from repro.core.persistence import load_fleet
     from repro.serve.shard import load_shard_fleet
@@ -88,8 +96,7 @@ def run_probe(args) -> int:
                 "load_seconds": t1 - t0,
                 "first_predict_seconds": t2 - t1,
                 "total_seconds": t2 - t0,
-                "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                / 1024.0,
+                "rss_mb": peak_rss_mb(),
             }
         )
     )
@@ -102,7 +109,7 @@ def probe(
     shard: tuple[int, int] | None = None,
     repeats: int = 3,
 ) -> dict:
-    """Best-of-N cold measurements, each in a fresh interpreter."""
+    """Median of ``repeats`` cold measurements, each in a fresh interpreter."""
     command = [sys.executable, __file__, "--probe", str(snapshot)]
     if not mmap:
         command.append("--no-mmap")
@@ -114,9 +121,12 @@ def probe(
             command, capture_output=True, text=True, check=True
         )
         runs.append(json.loads(out.stdout))
-    best = min(runs, key=lambda r: r["total_seconds"])
-    best["repeats"] = repeats
-    return best
+    runs.sort(key=lambda r: r["total_seconds"])
+    median = dict(runs[len(runs) // 2])
+    median["total_seconds_min"] = runs[0]["total_seconds"]
+    median["total_seconds_max"] = runs[-1]["total_seconds"]
+    median["repeats"] = repeats
+    return median
 
 
 # ----------------------------------------------------------------------
@@ -209,59 +219,40 @@ def main(argv: list[str] | None = None) -> int:
 
     workdir = Path(tempfile.mkdtemp(prefix="bench_snapshot_"))
     try:
-        v1_dir, v2_dir = workdir / "v1", workdir / "v2"
+        snapshot = workdir / "snapshot"
         t0 = time.perf_counter()
-        save_fleet(fleet, v1_dir, format=1, max_workers=args.workers)
-        save_v1 = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        save_fleet(fleet, v2_dir, format=2, max_workers=args.workers)
-        save_v2 = time.perf_counter() - t0
+        save_fleet(fleet, snapshot, max_workers=args.workers)
+        save_seconds = time.perf_counter() - t0
 
-        print("checking fingerprint identity v1 / v2-mmap / v2-mat ...")
+        print("checking fingerprint identity mmap / materialized ...")
         reference = fleet_fingerprints(fleet)
-        identical = (
-            fleet_fingerprints(load_fleet(v1_dir)) == reference
-            and fleet_fingerprints(load_fleet(v2_dir, mmap=True)) == reference
-            and fleet_fingerprints(load_fleet(v2_dir, mmap=False)) == reference
+        identical = all(
+            fleet_fingerprints(load_fleet(snapshot, mmap=mmap)) == reference
+            for mmap in (True, False)
         )
         if not identical:
-            print("FAIL: fingerprints diverge across formats", file=sys.stderr)
+            print("FAIL: loaded fingerprints diverge from the fitted fleet",
+                  file=sys.stderr)
             return 1
 
         print("cold-start probes (fresh subprocess each) ...")
         cold = {
-            "v1": probe(v1_dir, mmap=True, repeats=args.repeats),
-            "v2_mmap": probe(v2_dir, mmap=True, repeats=args.repeats),
-            "v2_materialized": probe(
-                v2_dir, mmap=False, repeats=args.repeats
-            ),
+            "mmap": probe(snapshot, mmap=True, repeats=args.repeats),
+            "materialized": probe(snapshot, mmap=False, repeats=args.repeats),
         }
 
         print("shard-restart drill (slice reload after worker kill) ...")
-        v1_sharded, v2_sharded = workdir / "v1_sharded", workdir / "v2_sharded"
-        placement = split_snapshot(v1_dir, v1_sharded, args.shards)
-        split_snapshot(v2_dir, v2_sharded, args.shards)
+        sharded = workdir / "sharded"
+        placement = split_snapshot(snapshot, sharded, args.shards)
         # Probe the busiest shard — an empty slice would time nothing.
         victim = max(placement, key=lambda s: len(placement[s]))
         restart = {
             "shard_objects": len(placement[victim]),
-            "v1": probe(
-                v1_sharded, mmap=True, shard=(victim, args.shards),
-                repeats=args.repeats,
-            ),
-            "v2_mmap": probe(
-                v2_sharded, mmap=True, shard=(victim, args.shards),
+            "mmap": probe(
+                sharded, mmap=True, shard=(victim, args.shards),
                 repeats=args.repeats,
             ),
         }
-
-        speedup_cold = (
-            cold["v1"]["total_seconds"] / cold["v2_mmap"]["total_seconds"]
-        )
-        speedup_restart = (
-            restart["v1"]["total_seconds"]
-            / restart["v2_mmap"]["total_seconds"]
-        )
         report = {
             "benchmark": "snapshot",
             "smoke": args.smoke,
@@ -271,16 +262,15 @@ def main(argv: list[str] | None = None) -> int:
                 "period": args.period,
                 "shards": args.shards,
                 "repeats": args.repeats,
+                "workers": args.workers,
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
             },
-            "save_seconds": {"v1": save_v1, "v2": save_v2},
-            "snapshot_bytes": {
-                "v1": directory_bytes(v1_dir),
-                "v2": directory_bytes(v2_dir),
-            },
+            "patterns": fleet.total_patterns(),
+            "save_seconds": save_seconds,
+            "snapshot_bytes": directory_bytes(snapshot),
             "cold_start": cold,
             "restart_recovery": restart,
-            "cold_start_speedup_mmap": speedup_cold,
-            "restart_recovery_speedup_mmap": speedup_restart,
             "fingerprints_identical": identical,
         }
     finally:
@@ -289,19 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(
-        f"\ncold start: v1 {cold['v1']['total_seconds']:.2f}s -> "
-        f"v2 mmap {cold['v2_mmap']['total_seconds']:.2f}s "
-        f"({speedup_cold:.2f}x); restart: {restart['v1']['total_seconds']:.2f}s"
-        f" -> {restart['v2_mmap']['total_seconds']:.2f}s "
-        f"({speedup_restart:.2f}x)"
+        f"\ncold start (load + first predict, median of {args.repeats}): "
+        f"mmap {cold['mmap']['total_seconds']:.2f}s, materialized "
+        f"{cold['materialized']['total_seconds']:.2f}s; shard restart "
+        f"{restart['mmap']['total_seconds']:.2f}s"
     )
-    if not args.smoke and speedup_cold < SPEEDUP_GATE:
-        print(
-            f"FAIL: v2 mmap cold start {speedup_cold:.2f}x < "
-            f"{SPEEDUP_GATE}x gate",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

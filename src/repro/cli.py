@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mine = sub.add_parser("mine", help="fit an HPM on a trajectory CSV")
     mine.add_argument("input", help="trajectory CSV (t,x,y)")
-    mine.add_argument("-o", "--output", required=True, help="model .npz path")
+    mine.add_argument("-o", "--output", required=True,
+                      help="model snapshot output directory")
     mine.add_argument("--period", type=int, required=True)
     mine.add_argument("--eps", type=float, default=30.0)
     mine.add_argument("--min-pts", type=int, default=4)
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     predict = sub.add_parser("predict", help="query a saved model")
-    predict.add_argument("model", help="model .npz from `repro mine`")
+    predict.add_argument("model", help="model snapshot from `repro mine`")
     predict.add_argument(
         "--recent",
         required=True,
@@ -120,57 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "model",
-        help="model .npz from `repro mine` or a fleet snapshot directory",
+        help="snapshot directory from `repro mine` or `repro fit`",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
-        "--object-id",
-        default="default",
-        help="object id assigned to a single-model .npz (ignored for snapshots)",
-    )
-    serve.add_argument("--cache-entries", type=int, default=4096,
-                       help="LRU capacity of the prediction cache")
-    serve.add_argument("--cache-ttl", type=float, default=30.0,
-                       help="seconds a cached answer stays valid (0 disables caching)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="coalescing delay for concurrent predicts (0 disables batching)")
-    serve.add_argument("--max-batch", type=int, default=32,
-                       help="flush a batch early at this many distinct requests")
-    serve.add_argument("--update-after", type=int, default=None,
-                       help="refit an object after this many ingested fixes")
-    serve.add_argument("--refit-mode", choices=("delta", "full"), default=None,
-                       help="override the models' refit mode (default: model config, "
-                            "normally delta — incremental re-mine + in-place TPT patch)")
-    serve.add_argument("--refit-full-every", type=int, default=None,
-                       help="force a full re-mine every Nth refit per object")
-    serve.add_argument("--gap-policy", choices=("reject", "pad"), default="reject",
-                       help="non-contiguous ingested fixes: reject the flush or pad "
-                            "gaps with the last known position")
-    serve.add_argument("--warmup-workers", type=int, default=None,
-                       help="parallel workers for fleet-snapshot warm-up")
-    serve.add_argument("--max-inflight-predict", type=int, default=256,
-                       help="predict requests in flight before shedding (503)")
-    serve.add_argument("--max-inflight-ingest", type=int, default=128,
-                       help="ingest requests in flight before shedding (503)")
-    serve.add_argument("--client-rate", type=float, default=0.0,
-                       help="per-client rate limit in req/s (0 disables; 429 beyond it)")
-    serve.add_argument("--client-burst", type=float, default=20.0,
-                       help="per-client token-bucket burst allowance")
-    serve.add_argument("--deadline-ms", type=float, default=10000.0,
-                       help="default predict deadline in ms (0 disables)")
-    serve.add_argument("--idle-timeout", type=float, default=60.0,
-                       help="seconds before an idle/slow connection is reaped (0 disables)")
-    serve.add_argument("--max-body-bytes", type=int, default=1_048_576,
-                       help="request body budget in bytes (413 beyond it)")
-    serve.add_argument("--chaos-seed", type=int, default=0,
-                       help="fault-injection seed (with the --chaos-* probabilities)")
-    serve.add_argument("--chaos-latency", type=float, default=0.0,
-                       help="probability of injected pre-handler latency")
-    serve.add_argument("--chaos-errors", type=float, default=0.0,
-                       help="probability of injected handler errors")
-    serve.add_argument("--chaos-drops", type=float, default=0.0,
-                       help="probability of injected connection drops")
+    _add_serve_flags(serve)
 
     shard_serve = sub.add_parser(
         "shard-serve",
@@ -221,16 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     shard_worker.add_argument("--salt", default="hpm-ring")
     shard_worker.add_argument("--grace", type=float, default=5.0,
                               help="drain grace on SIGTERM")
-    shard_worker.add_argument("--warmup-workers", type=int, default=None)
-    shard_worker.add_argument("--cache-ttl", type=float, default=30.0)
-    shard_worker.add_argument("--batch-window-ms", type=float, default=2.0)
-    shard_worker.add_argument("--update-after", type=int, default=None)
-    shard_worker.add_argument("--refit-mode", choices=("delta", "full"), default=None)
-    shard_worker.add_argument("--refit-full-every", type=int, default=None)
-    shard_worker.add_argument("--gap-policy", choices=("reject", "pad"),
-                              default="reject")
+    _add_serve_flags(shard_worker)
     shard_worker.add_argument("--no-mmap", dest="mmap", action="store_false",
-                              help="materialize v2 snapshot blocks instead of "
+                              help="materialize snapshot blocks instead of "
                                    "memory-mapping them")
 
     shard_snapshot = sub.add_parser(
@@ -251,18 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss_merge.add_argument("source", help="sharded snapshot directory")
     ss_merge.add_argument("-o", "--output", required=True,
                           help="fleet snapshot output directory")
-
-    convert = sub.add_parser(
-        "snapshot-convert",
-        help="convert a fleet snapshot between formats (v1 npz <-> v2 packed)",
-    )
-    convert.add_argument("source", help="fleet snapshot directory")
-    convert.add_argument("-o", "--output", required=True,
-                         help="converted snapshot output directory")
-    convert.add_argument("--to", type=int, choices=(1, 2), default=2,
-                         dest="target_format",
-                         help="target format version (default: 2)")
-    convert.add_argument("--max-workers", type=int, default=None)
 
     stat = sub.add_parser(
         "snapshot-stat",
@@ -295,6 +231,93 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-query deadline in ms (the goodput bar)")
     loadgen.add_argument("--seed", type=int, default=0)
     return parser
+
+
+# Serving flags shared by `serve` and `shard-worker`; _serve_config maps
+# them onto one ServeConfig.
+_SERVE_FLAGS: tuple[tuple[str, dict], ...] = (
+    ("--warmup-workers", dict(type=int, default=None,
+                              help="parallel workers for snapshot warm-up")),
+    ("--cache-entries", dict(type=int, default=4096,
+                             help="LRU capacity of the prediction cache")),
+    ("--cache-ttl", dict(type=float, default=30.0,
+                         help="seconds a cached answer stays valid (0 disables caching)")),
+    ("--batch-window-ms", dict(type=float, default=2.0,
+                               help="coalescing delay for concurrent predicts (0 disables batching)")),
+    ("--max-batch", dict(type=int, default=32,
+                         help="flush a batch early at this many distinct requests")),
+    ("--update-after", dict(type=int, default=None,
+                            help="refit an object after this many ingested fixes")),
+    ("--refit-mode", dict(choices=("delta", "full"), default=None,
+                          help="override the models' refit mode (default: model config, "
+                               "normally delta — incremental re-mine + in-place TPT patch)")),
+    ("--refit-full-every", dict(type=int, default=None,
+                                help="force a full re-mine every Nth refit per object")),
+    ("--gap-policy", dict(choices=("reject", "pad"), default="reject",
+                          help="non-contiguous ingested fixes: reject the flush or pad "
+                               "gaps with the last known position")),
+    ("--max-inflight-predict", dict(type=int, default=256,
+                                    help="predict requests in flight before shedding (503)")),
+    ("--max-inflight-ingest", dict(type=int, default=128,
+                                   help="ingest requests in flight before shedding (503)")),
+    ("--client-rate", dict(type=float, default=0.0,
+                           help="per-client rate limit in req/s (0 disables; 429 beyond it)")),
+    ("--client-burst", dict(type=float, default=20.0,
+                            help="per-client token-bucket burst allowance")),
+    ("--deadline-ms", dict(type=float, default=10000.0,
+                           help="default predict deadline in ms (0 disables)")),
+    ("--idle-timeout", dict(type=float, default=60.0,
+                            help="seconds before an idle/slow connection is reaped (0 disables)")),
+    ("--max-body-bytes", dict(type=int, default=1_048_576,
+                              help="request body budget in bytes (413 beyond it)")),
+    ("--chaos-seed", dict(type=int, default=0,
+                          help="fault-injection seed (with the --chaos-* probabilities)")),
+    ("--chaos-latency", dict(type=float, default=0.0,
+                             help="probability of injected pre-handler latency")),
+    ("--chaos-errors", dict(type=float, default=0.0,
+                            help="probability of injected handler errors")),
+    ("--chaos-drops", dict(type=float, default=0.0,
+                           help="probability of injected connection drops")),
+)
+
+
+def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
+    for flag, kwargs in _SERVE_FLAGS:
+        parser.add_argument(flag, **kwargs)
+
+
+def _serve_config(args):
+    """The ServeConfig for parsed `serve`/`shard-worker` flags."""
+    from .serve import ChaosConfig, ServeConfig
+
+    chaos = None
+    if args.chaos_latency > 0 or args.chaos_errors > 0 or args.chaos_drops > 0:
+        chaos = ChaosConfig(
+            seed=args.chaos_seed,
+            latency_probability=args.chaos_latency,
+            error_probability=args.chaos_errors,
+            drop_probability=args.chaos_drops,
+        )
+    return ServeConfig(
+        cache_entries=args.cache_entries,
+        cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
+        max_batch=args.max_batch,
+        batch_delay=args.batch_window_ms / 1000.0,
+        update_after=args.update_after,
+        refit_mode=args.refit_mode,
+        refit_full_every=args.refit_full_every,
+        gap_policy=args.gap_policy,
+        enable_cache=args.cache_ttl > 0,
+        enable_batching=args.batch_window_ms > 0,
+        max_inflight_predict=args.max_inflight_predict,
+        max_inflight_ingest=args.max_inflight_ingest,
+        client_rate=args.client_rate,
+        client_burst=args.client_burst,
+        default_deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
+        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
+        max_body_bytes=args.max_body_bytes,
+        chaos=chaos,
+    )
 
 
 def _cmd_synth(args) -> int:
@@ -447,51 +470,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .core.fleet import FleetPredictionModel
     from .core.persistence import load_fleet
-    from .serve import (
-        ChaosConfig,
-        PredictionServer,
-        PredictionService,
-        ServeConfig,
-    )
+    from .serve import PredictionServer, PredictionService
 
-    path = Path(args.model)
-    if path.is_dir():
-        fleet = load_fleet(path, max_workers=args.warmup_workers)
-        print(f"warmed up {len(fleet)} object(s); {_fit_phase_line(fleet.fit_phase_totals())}")
-    else:
-        model = load_model(path)
-        fleet = FleetPredictionModel(model.config)
-        fleet.adopt_object(args.object_id, model)
-    chaos = None
-    if args.chaos_latency > 0 or args.chaos_errors > 0 or args.chaos_drops > 0:
-        chaos = ChaosConfig(
-            seed=args.chaos_seed,
-            latency_probability=args.chaos_latency,
-            error_probability=args.chaos_errors,
-            drop_probability=args.chaos_drops,
-        )
-    config = ServeConfig(
-        cache_entries=args.cache_entries,
-        cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
-        max_batch=args.max_batch,
-        batch_delay=args.batch_window_ms / 1000.0,
-        update_after=args.update_after,
-        refit_mode=args.refit_mode,
-        refit_full_every=args.refit_full_every,
-        gap_policy=args.gap_policy,
-        enable_cache=args.cache_ttl > 0,
-        enable_batching=args.batch_window_ms > 0,
-        max_inflight_predict=args.max_inflight_predict,
-        max_inflight_ingest=args.max_inflight_ingest,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        default_deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        max_body_bytes=args.max_body_bytes,
-        chaos=chaos,
-    )
+    fleet = load_fleet(args.model, max_workers=args.warmup_workers)
+    print(f"warmed up {len(fleet)} object(s); {_fit_phase_line(fleet.fit_phase_totals())}")
+    config = _serve_config(args)
     service = PredictionService(fleet, config)
     server = PredictionServer(service, host=args.host, port=args.port)
 
@@ -569,19 +553,8 @@ def _cmd_shard_serve(args) -> int:
 def _cmd_shard_worker(args) -> int:
     import asyncio
 
-    from .serve import ServeConfig
     from .serve.shard import run_worker
 
-    config = ServeConfig(
-        cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
-        enable_cache=args.cache_ttl > 0,
-        batch_delay=args.batch_window_ms / 1000.0,
-        enable_batching=args.batch_window_ms > 0,
-        update_after=args.update_after,
-        refit_mode=args.refit_mode,
-        refit_full_every=args.refit_full_every,
-        gap_policy=args.gap_policy,
-    )
     try:
         return asyncio.run(
             run_worker(
@@ -593,7 +566,7 @@ def _cmd_shard_worker(args) -> int:
                 ready_file=args.ready_file,
                 replicas=args.replicas,
                 salt=args.salt,
-                config=config,
+                config=_serve_config(args),
                 grace=args.grace,
                 max_workers=args.warmup_workers,
                 mmap=args.mmap,
@@ -627,25 +600,10 @@ def _cmd_shard_snapshot(args) -> int:
     return 0
 
 
-def _cmd_snapshot_convert(args) -> int:
-    from .core.persistence import convert_snapshot
-
-    count = convert_snapshot(
-        args.source,
-        args.output,
-        format=args.target_format,
-        max_workers=args.max_workers,
-    )
-    print(
-        f"wrote {args.output}: {count} object(s) as format v{args.target_format}"
-    )
-    return 0
-
-
 def _cmd_snapshot_stat(args) -> int:
     import json as _json
 
-    from .core.snapshot2 import snapshot_stat
+    from .core.persistence import snapshot_stat
 
     print(_json.dumps(snapshot_stat(args.source), indent=2))
     return 0
@@ -699,7 +657,6 @@ def main(argv: list[str] | None = None) -> int:
         "shard-serve": _cmd_shard_serve,
         "shard-worker": _cmd_shard_worker,
         "shard-snapshot": _cmd_shard_snapshot,
-        "snapshot-convert": _cmd_snapshot_convert,
         "snapshot-stat": _cmd_snapshot_stat,
         "loadgen": _cmd_loadgen,
     }

@@ -36,6 +36,7 @@ raises, counting the demotion in ``kernel_fallbacks`` and the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Iterator, Sequence
@@ -134,6 +135,11 @@ class PreparedQuery:
         recent = list(recent)
         if not recent:
             raise ValueError("recent movements must be non-empty")
+        for sample in recent:
+            if not (math.isfinite(sample.x) and math.isfinite(sample.y)):
+                raise ValueError(
+                    f"recent movements must have finite coordinates, got {sample}"
+                )
         self.config = config
         self.recent = recent
         self.current_time: int = recent[-1].t

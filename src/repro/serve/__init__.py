@@ -25,8 +25,8 @@ and the same byte-identity guarantee.
 
 Run one from the CLI::
 
-    repro mine route.csv -o model.npz --period 24
-    repro serve model.npz --port 8080
+    repro mine route.csv -o model --period 24
+    repro serve model --port 8080
     repro loadgen 127.0.0.1:8080 --input route.csv --requests 500
 """
 

@@ -40,6 +40,7 @@ Endpoints
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Sequence
 
 from ..core.prediction import Prediction
@@ -133,21 +134,49 @@ def _object_id(payload: dict) -> str:
     return object_id
 
 
-def _parse_fixes(payload: dict, field: str) -> list[tuple[int, float, float]]:
-    raw = payload.get(field)
+def _is_int(value: Any) -> bool:
+    """A JSON integer; ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _query_time(payload: dict) -> int:
+    query_time = payload.get("query_time")
+    if not _is_int(query_time):
+        raise ApiError(400, "query_time must be an integer")
+    return query_time
+
+
+def _finite(value: Any, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ApiError(400, f"{name} must be a finite number")
+
+
+def _parse_fixes(raw: Any, field: str) -> list[tuple[int, float, float]]:
+    """``[[t, x, y], ...]``: integer ``t`` strictly increasing, finite x/y.
+
+    Errors name the offending element, e.g. ``recent[2].t``.
+    """
     if not isinstance(raw, list) or not raw:
         raise ApiError(400, f"{field} must be a non-empty list of [t, x, y]")
-    fixes = []
-    for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ApiError(400, f"bad {field} entry {entry!r}; expected [t, x, y]")
+    fixes: list[tuple[int, float, float]] = []
+    for i, entry in enumerate(raw):
+        name = f"{field}[{i}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ApiError(400, f"{name} must be [t, x, y]")
         t, x, y = entry
-        try:
-            fixes.append((int(t), float(x), float(y)))
-        except (TypeError, ValueError):
+        if not _is_int(t):
+            raise ApiError(400, f"{name}.t must be an integer")
+        if fixes and t <= fixes[-1][0]:
             raise ApiError(
-                400, f"bad {field} entry {entry!r}; expected numbers"
-            ) from None
+                400, f"{name}.t must be greater than {field}[{i - 1}].t"
+            )
+        fixes.append((t, _finite(x, f"{name}.x"), _finite(y, f"{name}.y")))
     return fixes
 
 
@@ -157,11 +186,9 @@ def _parse_fixes(payload: dict, field: str) -> list[tuple[int, float, float]]:
 async def _handle_predict(service, body: bytes):
     payload = _parse_body(body)
     object_id = _object_id(payload)
-    query_time = payload.get("query_time")
-    if not isinstance(query_time, int):
-        raise ApiError(400, "query_time must be an integer")
+    query_time = _query_time(payload)
     k = payload.get("k")
-    if k is not None and (not isinstance(k, int) or k < 1):
+    if k is not None and (not _is_int(k) or k < 1):
         raise ApiError(400, "k must be a positive integer")
     deadline_ms = payload.get("deadline_ms")
     if deadline_ms is not None and (
@@ -170,9 +197,9 @@ async def _handle_predict(service, body: bytes):
         or deadline_ms <= 0
     ):
         raise ApiError(400, "deadline_ms must be a positive number")
-    recent = (
-        _parse_fixes(payload, "recent") if payload.get("recent") is not None else None
-    )
+    recent = payload.get("recent")
+    if recent is not None:
+        recent = _parse_fixes(recent, "recent")
     predictions, cached, degraded = await service.predict(
         object_id, recent, query_time, k, deadline_ms=deadline_ms
     )
@@ -191,7 +218,7 @@ async def _handle_predict(service, body: bytes):
 async def _handle_ingest(service, body: bytes):
     payload = _parse_body(body)
     object_id = _object_id(payload)
-    fixes = _parse_fixes(payload, "fixes")
+    fixes = _parse_fixes(payload.get("fixes"), "fixes")
     result = await service.ingest(object_id, fixes)
     return 200, _JSON, encode_json(result), {}
 
@@ -225,9 +252,7 @@ def render_predict_all_body(
 
 async def _handle_predict_all(service, body: bytes):
     payload = _parse_body(body)
-    query_time = payload.get("query_time")
-    if not isinstance(query_time, int):
-        raise ApiError(400, "query_time must be an integer")
+    query_time = _query_time(payload)
     raw_recents = payload.get("recents")
     recents = None
     if raw_recents is not None:
@@ -237,7 +262,7 @@ async def _handle_predict_all(service, body: bytes):
         for object_id, fixes in raw_recents.items():
             if not isinstance(object_id, str) or not object_id:
                 raise ApiError(400, "recents keys must be non-empty strings")
-            recents[object_id] = _parse_fixes({"recent": fixes}, "recent")
+            recents[object_id] = _parse_fixes(fixes, f"recents[{object_id!r}]")
     results, unknown = await service.predict_all(recents, query_time)
     return (
         200,

@@ -245,7 +245,7 @@ class PredictionService:
     ) -> "PredictionService":
         """Build a service from a fleet snapshot directory.
 
-        ``warmup_workers`` parallelises the per-object archive loads
+        ``warmup_workers`` parallelises the per-object restores
         (see :func:`repro.core.persistence.load_fleet`) so a large
         snapshot warms up in a fraction of the serial time before the
         first request is accepted.
@@ -256,7 +256,7 @@ class PredictionService:
         restore pay per-region KD-tree probes and cold-start p99 cliffs.
         Pass 0 to skip.
 
-        ``mmap`` (v2 snapshots only) maps the packed blocks read-only
+        ``mmap`` maps the snapshot blocks read-only
         instead of materialising them, so concurrent services on one
         host share the page cache; pass ``False`` to force private
         copies.

@@ -43,7 +43,14 @@ from dataclasses import dataclass
 
 from ..admission import AdmissionController
 from ..cache import PredictionCache
-from ..handlers import ApiError, encode_json, _object_id, _parse_body
+from ..handlers import (
+    ApiError,
+    _object_id,
+    _parse_body,
+    _parse_fixes,
+    _query_time,
+    encode_json,
+)
 from ..loadgen import HttpClient
 from ..metrics import MetricsRegistry, merge_dumps
 from ..server import PredictionServer, ServeConfig
@@ -417,9 +424,7 @@ class RouterService:
         self, body: bytes
     ) -> tuple[int, str, bytes, dict[str, str]]:
         payload = _parse_body(body)
-        query_time = payload.get("query_time")
-        if not isinstance(query_time, int):
-            raise ApiError(400, "query_time must be an integer")
+        query_time = _query_time(payload)
         recents = payload.get("recents")
         if recents is None:
             # Tracker-backed sweep: every shard scores its own windows.
@@ -433,6 +438,7 @@ class RouterService:
             for object_id, fixes in recents.items():
                 if not isinstance(object_id, str) or not object_id:
                     raise ApiError(400, "recents keys must be non-empty strings")
+                _parse_fixes(fixes, f"recents[{object_id!r}]")
                 groups.setdefault(self.ring.shard_for(object_id), {})[
                     object_id
                 ] = fixes

@@ -29,12 +29,11 @@ graceful path and exits 0.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from ...core.fleet import FleetPredictionModel
-from ...core.persistence import load_fleet
+from ...core.persistence import load_fleet, read_manifest
 from ..server import PredictionServer, PredictionService, ServeConfig
 from .ring import DEFAULT_REPLICAS, HashRing
 from .snapshot import (
@@ -58,10 +57,10 @@ def load_shard_fleet(
 ) -> FleetPredictionModel:
     """Load the slice of ``snapshot`` that shard ``shard_id`` owns.
 
-    With a v2 (packed columnar) snapshot the ring slice is restricted
-    via the per-object offset index before any block is touched, so a
-    worker only faults in the pages its own objects occupy; ``mmap``
-    forwards to :func:`repro.core.persistence.load_fleet`.
+    The ring slice is restricted via the snapshot's per-object offset
+    index before any block is touched, so a worker only faults in the
+    pages its own objects occupy; ``mmap`` forwards to
+    :func:`repro.core.persistence.load_fleet`.
     """
     if not 0 <= shard_id < num_shards:
         raise ValueError(
@@ -82,10 +81,7 @@ def load_shard_fleet(
             mmap=mmap,
         )
     ring = HashRing(num_shards, replicas=replicas, salt=salt)
-    manifest_path = snapshot / "manifest.json"
-    if not manifest_path.is_file():
-        raise ValueError(f"{snapshot} is not a fleet snapshot")
-    object_ids = json.loads(manifest_path.read_text())["objects"].keys()
+    object_ids = read_manifest(snapshot)["objects"].keys()
     mine = [oid for oid in object_ids if ring.shard_for(oid) == shard_id]
     return load_fleet(
         snapshot, max_workers=max_workers, object_ids=mine, mmap=mmap

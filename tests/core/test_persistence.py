@@ -1,10 +1,13 @@
 """Tests for model save/load."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.config import HPMConfig
 from repro.core.model import HybridPredictionModel
+from repro.core.fingerprint import model_fingerprint
 from repro.core.persistence import load_model, save_model
 from repro.trajectory import TimedPoint, Trajectory
 
@@ -29,12 +32,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             save_model(
                 HybridPredictionModel(period=10, distant_threshold=4),
-                tmp_path / "m.npz",
+                tmp_path / "m",
             )
 
     def test_state_preserved(self, fitted_model, tmp_path):
         model, _ = fitted_model
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model"
         save_model(model, path)
         loaded = load_model(path)
 
@@ -59,7 +62,7 @@ class TestRoundTrip:
 
     def test_predictions_identical(self, fitted_model, tmp_path):
         model, base = fitted_model
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model"
         save_model(model, path)
         loaded = load_model(path)
 
@@ -74,7 +77,7 @@ class TestRoundTrip:
 
     def test_update_works_after_reload(self, fitted_model, tmp_path):
         model, base = fitted_model
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model"
         save_model(model, path)
         loaded = load_model(path)
         rng = np.random.default_rng(4)
@@ -82,19 +85,52 @@ class TestRoundTrip:
         assert len(loaded.history_) == len(model.history_) + len(base)
 
     def test_version_check(self, fitted_model, tmp_path):
-        import json
+        model, _ = fitted_model
+        path = tmp_path / "model"
+        save_model(model, path)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format 1 .*per-object .npz"):
+            load_model(path)
+        archive = tmp_path / "model.npz"
+        np.savez(archive, meta=np.zeros(1))
+        with pytest.raises(ValueError, match=r"\.npz archives are no longer read"):
+            load_model(archive)
+
+    def test_saved_as_default_object(self, fitted_model, tmp_path):
+        from repro.core.persistence import load_fleet
 
         model, _ = fitted_model
-        path = tmp_path / "model.npz"
+        save_model(model, tmp_path / "model")
+        assert load_fleet(tmp_path / "model").object_ids() == ["default"]
+
+    def test_multi_object_snapshot_rejected(self, fitted_model, tmp_path):
+        from repro.core.fleet import FleetPredictionModel
+        from repro.core.persistence import save_fleet
+
+        model, _ = fitted_model
+        fleet = FleetPredictionModel(model.config)
+        fleet.adopt_object("a", model)
+        fleet.adopt_object("b", model)
+        save_fleet(fleet, tmp_path / "fleet")
+        with pytest.raises(ValueError, match="holds 2 objects"):
+            load_model(tmp_path / "fleet")
+
+    def test_resave_over_loaded_snapshot(self, fitted_model, tmp_path):
+        # A loaded model maps its blocks; saving another model over the
+        # same directory must not rewrite the pages it still reads.
+        model, _ = fitted_model
+        path = tmp_path / "model"
         save_model(model, path)
-        # Corrupt the version field.
-        data = dict(np.load(path))
-        meta = json.loads(bytes(data["meta"].tobytes()).decode())
-        meta["format_version"] = 999
-        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="unsupported model format"):
-            load_model(path)
+        loaded = load_model(path)
+        moved = HybridPredictionModel(model.config).fit(
+            Trajectory(np.asarray(model.history_.positions) + 500.0)
+        )
+        save_model(moved, path)
+        assert model_fingerprint(loaded) == model_fingerprint(model)
+        assert model_fingerprint(load_model(path)) == model_fingerprint(moved)
 
     def test_pattern_free_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -103,7 +139,7 @@ class TestRoundTrip:
             HPMConfig(period=14, eps=5.0, min_pts=9, distant_threshold=5)
         ).fit(traj)
         assert model.pattern_count == 0
-        path = tmp_path / "empty.npz"
+        path = tmp_path / "empty"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.pattern_count == 0

@@ -98,6 +98,20 @@ class TestPreparedPlanEquivalence:
         with pytest.raises(ValueError, match="non-empty"):
             model.prepare([])
 
+    @pytest.mark.parametrize(
+        "bad", [float("inf"), float("-inf"), float("nan")]
+    )
+    def test_non_finite_recent_rejected(self, world, pattern_free_model, bad):
+        model, base = world
+        t0 = 25 * 16
+        recent = [TimedPoint(t0 + t, *base[t]) for t in range(3)]
+        recent[1] = TimedPoint(t0 + 1, float(base[1][0]), bad)
+        for m in (model, pattern_free_model):
+            with pytest.raises(ValueError, match="recent movements must have finite"):
+                m.predict(recent, t0 + 5)
+            with pytest.raises(ValueError, match="recent movements must have finite"):
+                m.prepare(recent)
+
     def test_forward_backward_query_paths(self, world):
         model, base = world
         predictor = model.predictor_

@@ -1,10 +1,10 @@
-"""Fleet snapshot format v2: packed columnar blocks, mmap loads.
+"""Fleet snapshots (format 2): packed columnar blocks, mmap loads.
 
-The contract: a v2 load — mmap or materialised, whole fleet or ring
-slice, direct or converted from v1 — yields models whose state AND
-prediction fingerprints are byte-identical to the v1 reload of the same
-fleet, with the score-kernel cache already primed; and a delta refit on
-a v2-loaded model stays byte-identical to a fit from scratch.
+The contract: a load — mmap or materialised, whole fleet or ring slice —
+yields models whose state AND prediction fingerprints are byte-identical
+to the in-memory models that were saved, with the score-kernel cache
+already primed; and a delta refit on a loaded model stays
+byte-identical to a fit from scratch.
 """
 
 import json
@@ -19,8 +19,7 @@ from repro.core.config import HPMConfig
 from repro.core.fingerprint import model_fingerprint, prediction_fingerprint
 from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
-from repro.core.persistence import convert_snapshot, load_fleet, save_fleet
-from repro.core.snapshot2 import snapshot_stat
+from repro.core.persistence import load_fleet, save_fleet, snapshot_stat
 from repro.trajectory import TimedPoint, Trajectory
 
 PERIOD = 12
@@ -90,21 +89,36 @@ def fitted_fleet():
 @pytest.fixture(scope="module")
 def snapshots(fitted_fleet, tmp_path_factory):
     root = tmp_path_factory.mktemp("snapshots")
-    save_fleet(fitted_fleet, root / "v1", format=1)
-    save_fleet(fitted_fleet, root / "v2", format=2)
+    save_fleet(fitted_fleet, root / "v2")
     return root
 
 
 class TestRoundTripIdentity:
-    def test_v2_matches_v1_and_original(self, fitted_fleet, snapshots):
+    def test_loads_match_original(self, fitted_fleet, snapshots):
         reference = fleet_fingerprints(fitted_fleet)
-        assert fleet_fingerprints(load_fleet(snapshots / "v1")) == reference
         assert fleet_fingerprints(load_fleet(snapshots / "v2")) == reference
 
     def test_mmap_matches_materialized(self, fitted_fleet, snapshots):
         mmapped = load_fleet(snapshots / "v2", mmap=True)
         materialized = load_fleet(snapshots / "v2", mmap=False)
         assert fleet_fingerprints(mmapped) == fleet_fingerprints(materialized)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_pattern_free_and_delta_refitted_round_trip(self, tmp_path, mmap):
+        fleet = FleetPredictionModel(make_config())
+        rng = np.random.default_rng(5)
+        positions = make_route(12, seed=7)
+        fleet.fit(
+            {
+                "free": Trajectory(rng.uniform(0, 10000, (140, 2)), 0),
+                "delta": Trajectory(positions[: 9 * PERIOD].copy(), 0),
+            }
+        )
+        fleet["delta"].update(positions[9 * PERIOD :], refit="delta")
+        assert fleet["free"].pattern_count == 0
+        save_fleet(fleet, tmp_path / "snap")
+        loaded = load_fleet(tmp_path / "snap", mmap=mmap)
+        assert fleet_fingerprints(loaded) == fleet_fingerprints(fleet)
 
     def test_kernel_primed_on_load(self, fitted_fleet, snapshots):
         kind = fitted_fleet.config.weight_function
@@ -133,7 +147,7 @@ class TestRoundTripIdentity:
     def test_parallel_save_identical_to_serial(
         self, fitted_fleet, snapshots, tmp_path
     ):
-        save_fleet(fitted_fleet, tmp_path / "par", format=2, max_workers=3)
+        save_fleet(fitted_fleet, tmp_path / "par", max_workers=3)
         serial = sorted((snapshots / "v2").iterdir())
         parallel = sorted((tmp_path / "par").iterdir())
         assert [p.name for p in serial] == [p.name for p in parallel]
@@ -146,24 +160,6 @@ class TestRoundTripIdentity:
         assert stat["objects"] == 3
         assert stat["kernel_objects"] == 3
         assert stat["total_block_bytes"] > 0
-        assert snapshot_stat(snapshots / "v1")["format_version"] == 1
-
-
-class TestConvert:
-    def test_v1_to_v2_identity(self, fitted_fleet, snapshots, tmp_path):
-        count = convert_snapshot(snapshots / "v1", tmp_path / "conv", format=2)
-        assert count == 3
-        assert fleet_fingerprints(
-            load_fleet(tmp_path / "conv")
-        ) == fleet_fingerprints(fitted_fleet)
-
-    def test_v2_to_v1_identity(self, fitted_fleet, snapshots, tmp_path):
-        convert_snapshot(snapshots / "v2", tmp_path / "back", format=1)
-        manifest = json.loads((tmp_path / "back" / "manifest.json").read_text())
-        assert manifest["format_version"] == 1
-        assert fleet_fingerprints(
-            load_fleet(tmp_path / "back")
-        ) == fleet_fingerprints(fitted_fleet)
 
 
 class TestCorruptionPaths:
@@ -178,7 +174,23 @@ class TestCorruptionPaths:
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 99
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported fleet format"):
+        with pytest.raises(ValueError, match="unsupported fleet format 99"):
+            load_fleet(dest)
+
+    def test_v1_manifest_rejected_naming_the_format(self, snapshots, tmp_path):
+        # The retired layout: one .npz per object behind a version-1 manifest.
+        dest = tmp_path / "v1"
+        dest.mkdir()
+        (dest / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "config": {},
+                    "objects": {"obj0": "object_0000.npz"},
+                }
+            )
+        )
+        with pytest.raises(ValueError, match="format 1 .*per-object .npz"):
             load_fleet(dest)
 
     def test_truncated_block_rejected(self, snapshots, tmp_path):
@@ -219,7 +231,7 @@ class TestCopyOnWriteRefit:
 
         fleet = FleetPredictionModel(config)
         fleet.fit({"obj": Trajectory(prefix.copy(), 0)})
-        save_fleet(fleet, tmp_path / "snap", format=2)
+        save_fleet(fleet, tmp_path / "snap")
 
         reloaded = load_fleet(tmp_path / "snap", mmap=True)["obj"]
         reloaded.update(tail, refit="delta")
@@ -244,12 +256,14 @@ class TestProperty:
         num_blocks=st.integers(min_value=8, max_value=12),
         seed=st.integers(min_value=0, max_value=50),
     )
-    def test_convert_roundtrip_identity(self, tmp_path_factory, num_blocks, seed):
+    def test_save_load_roundtrip_identity(
+        self, tmp_path_factory, num_blocks, seed
+    ):
         tmp_path = tmp_path_factory.mktemp("prop")
         fleet = FleetPredictionModel(make_config())
         fleet.fit({"obj": Trajectory(make_route(num_blocks, seed=seed), 0)})
-        save_fleet(fleet, tmp_path / "v1", format=1)
-        convert_snapshot(tmp_path / "v1", tmp_path / "v2", format=2)
+        save_fleet(fleet, tmp_path / "snap")
         reference = fleet_fingerprints(fleet)
-        assert fleet_fingerprints(load_fleet(tmp_path / "v1")) == reference
-        assert fleet_fingerprints(load_fleet(tmp_path / "v2")) == reference
+        for mmap in (True, False):
+            loaded = load_fleet(tmp_path / "snap", mmap=mmap)
+            assert fleet_fingerprints(loaded) == reference

@@ -29,8 +29,8 @@ def data_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def model_npz(data_csv, tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "model.npz"
+def model_dir(data_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "model"
     code = main(
         [
             "mine",
@@ -65,14 +65,14 @@ class TestSynth:
 
 
 class TestMine:
-    def test_model_loadable(self, model_npz):
-        model = load_model(model_npz)
+    def test_model_loadable(self, model_dir):
+        model = load_model(model_dir)
         assert model.pattern_count > 0
         assert model.config.period == 60
 
 
 class TestPredict:
-    def test_predicts_from_saved_model(self, model_npz, data_csv, capsys):
+    def test_predicts_from_saved_model(self, model_dir, data_csv, capsys):
         trajectory = load_trajectory(data_csv)
         t0 = 18 * 60  # a held-out-ish day
         recent = ",".join(
@@ -83,7 +83,7 @@ class TestPredict:
         code = main(
             [
                 "predict",
-                str(model_npz),
+                str(model_dir),
                 "--recent",
                 recent,
                 "--time",
@@ -97,9 +97,9 @@ class TestPredict:
         assert out.startswith("#1 (")
         assert "method=" in out
 
-    def test_bad_recent_spec(self, model_npz):
+    def test_bad_recent_spec(self, model_dir):
         with pytest.raises(SystemExit, match="t:x:y"):
-            main(["predict", str(model_npz), "--recent", "1:2", "--time", "99"])
+            main(["predict", str(model_dir), "--recent", "1:2", "--time", "99"])
 
 
 class TestEvaluate:
@@ -201,24 +201,39 @@ class TestSnapshotTools:
         assert stat["objects"] == 1
         assert stat["total_block_bytes"] > 0
 
-    def test_convert_round_trips(self, fleet_snapshot, tmp_path, capsys):
-        import json
 
-        from repro.core.persistence import load_fleet
+class TestServeFlags:
+    FLAGS = [
+        "--cache-entries", "64", "--cache-ttl", "0", "--batch-window-ms", "5",
+        "--max-batch", "8", "--update-after", "3", "--refit-mode", "full",
+        "--refit-full-every", "4", "--gap-policy", "pad",
+        "--max-inflight-predict", "7", "--max-inflight-ingest", "6",
+        "--client-rate", "2.5", "--client-burst", "4", "--deadline-ms", "5",
+        "--idle-timeout", "0", "--max-body-bytes", "2048",
+        "--chaos-seed", "9", "--chaos-errors", "0.1",
+    ]
 
-        v1 = tmp_path / "v1"
-        assert main(
-            ["snapshot-convert", str(fleet_snapshot), "-o", str(v1), "--to", "1"]
-        ) == 0
-        assert "1 object(s) as format v1" in capsys.readouterr().out
-        assert main(["snapshot-stat", str(v1)]) == 0
-        assert json.loads(capsys.readouterr().out)["format_version"] == 1
+    def _configs(self, flags):
+        from repro.cli import _serve_config, build_parser
 
-        v2 = tmp_path / "v2"
-        assert main(
-            ["snapshot-convert", str(v1), "-o", str(v2), "--to", "2"]
-        ) == 0
-        original = load_fleet(fleet_snapshot)
-        converted = load_fleet(v2)
-        assert converted.object_ids() == original.object_ids()
-        assert converted.total_patterns() == original.total_patterns()
+        parser = build_parser()
+        serve = parser.parse_args(["serve", "snap", *flags])
+        worker = parser.parse_args(
+            ["shard-worker", "snap", "--shard-id", "0", "--shards", "2", *flags]
+        )
+        return _serve_config(serve), _serve_config(worker)
+
+    def test_serve_and_shard_worker_build_equal_configs(self):
+        serve, worker = self._configs(self.FLAGS)
+        assert serve == worker
+        assert serve.default_deadline_ms == 5.0
+        assert serve.max_batch == 8
+        assert serve.cache_ttl is None and not serve.enable_cache
+        assert serve.idle_timeout is None
+        assert serve.chaos is not None and serve.chaos.error_probability == 0.1
+
+    def test_defaults_match_serve_config(self):
+        from repro.serve import ServeConfig
+
+        serve, worker = self._configs([])
+        assert serve == worker == ServeConfig()
