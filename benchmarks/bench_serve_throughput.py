@@ -1,18 +1,21 @@
-"""Extension — serving throughput: batching + cache on vs. off.
+"""Extension — serving throughput: prediction cache on vs. off.
 
 The paper measures per-query model cost (Fig. 10); this bench measures
 the *serving stack* wrapped around it.  One process runs the asyncio
 HTTP server over a fitted commuter model and fires an identical
-500-request workload at it twice: once with request batching and the
-LRU+TTL prediction cache enabled, once with both disabled (every
-request pays a full model pass).  Reported per mode: requests/sec and
-exact p95 latency from the load generator's raw timings.
+500-request workload at it twice: once with the LRU+TTL prediction
+cache enabled, once with it disabled (every request pays a model pass).
+Request batching is always on: it adds no delay to a lone request and
+only batches the misses that queue behind an object's running pass.
+Reported per mode: requests/sec and exact p95 latency from the load
+generator's raw timings.
 
 Finding: with repeating traffic (50 distinct queries in the pool) the
-cache converts ~90% of requests into dictionary lookups and throughput
-rises severalfold while p95 falls; the batcher keeps the gap bounded
-even at concurrency 16 because concurrent misses for one object share a
-single executor pass.
+cache converts ~90% of requests into dictionary lookups.  A miss costs
+only an executor hand-off around a sub-millisecond model pass, so the
+throughput gain is modest and a single 500-request run is noisy; the
+event loop's HTTP work, shared with the in-process load generator,
+bounds both modes.
 """
 
 import asyncio
@@ -83,17 +86,19 @@ async def measure(fleet, history, serve_config):
         await server.close()
 
 
-def test_serve_throughput_batching_cache_ab(benchmark):
+def test_serve_throughput_cache_ab(benchmark):
     history = commuter_history()
     fleet = fitted_fleet(history)
     modes = {
-        "batching+cache on": ServeConfig(),
-        "batching+cache off": ServeConfig(
-            enable_batching=False, enable_cache=False
-        ),
+        "cache on": ServeConfig(),
+        "cache off": ServeConfig(enable_cache=False),
     }
 
     def compute():
+        # One untimed pass first: otherwise whichever mode runs first also
+        # pays the process's one-time warm-up, and the A/B measures the
+        # run order rather than the cache.
+        asyncio.run(measure(fleet, history, modes["cache off"]))
         rows = []
         for label, serve_config in modes.items():
             report = asyncio.run(measure(fleet, history, serve_config))

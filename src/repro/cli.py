@@ -242,10 +242,8 @@ _SERVE_FLAGS: tuple[tuple[str, dict], ...] = (
                              help="LRU capacity of the prediction cache")),
     ("--cache-ttl", dict(type=float, default=30.0,
                          help="seconds a cached answer stays valid (0 disables caching)")),
-    ("--batch-window-ms", dict(type=float, default=2.0,
-                               help="coalescing delay for concurrent predicts (0 disables batching)")),
     ("--max-batch", dict(type=int, default=32,
-                         help="flush a batch early at this many distinct requests")),
+                         help="most queued predicts for one object run in one model pass")),
     ("--update-after", dict(type=int, default=None,
                             help="refit an object after this many ingested fixes")),
     ("--refit-mode", dict(choices=("delta", "full"), default=None,
@@ -302,13 +300,11 @@ def _serve_config(args):
         cache_entries=args.cache_entries,
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         max_batch=args.max_batch,
-        batch_delay=args.batch_window_ms / 1000.0,
         update_after=args.update_after,
         refit_mode=args.refit_mode,
         refit_full_every=args.refit_full_every,
         gap_policy=args.gap_policy,
         enable_cache=args.cache_ttl > 0,
-        enable_batching=args.batch_window_ms > 0,
         max_inflight_predict=args.max_inflight_predict,
         max_inflight_ingest=args.max_inflight_ingest,
         client_rate=args.client_rate,

@@ -1,41 +1,51 @@
-"""Request batching: coalesce concurrent predict calls into one pass.
+"""Request batching, driven by load: one model pass per object at a time.
 
-Under load, many clients query the same object inside one event-loop
-tick.  Executing each query as its own executor job pays the
-lock-acquire / thread-handoff cost per request and re-walks shared
-per-object state.  The batcher instead holds the first request for a key
-back for a short window (``max_delay``), collects everything else that
-arrives for that key, and runs the whole batch as **one** executor pass
-— one lock acquisition, one model context.  Identical requests inside a
-window are deduplicated: they share a single computation and its result.
+Each key (an object id) has a *lane* that runs at most one executor pass
+at a time.  A request for an idle key is dispatched at once — there is
+no batching window, so light traffic pays no added delay.  Requests that
+arrive while the key's pass runs queue behind it and go together into
+the next pass, at most ``max_batch`` per pass and in arrival order, so
+under load a batch grows exactly as large as the backlog.  A pass takes
+the object lock once and lets requests that share a recent window share
+one prepared plan.
 
-A batch flushes early the moment it reaches ``max_batch`` distinct
-requests, so the delay window bounds tail latency while the size bound
-caps memory.  The executed callable is synchronous (model passes are
-CPU work); it runs on the event loop's default executor so the loop
-stays responsive.
+A request identical to one already queued *or in flight* shares that
+request's future instead of being computed again.  The executed
+callable is synchronous CPU work; it runs on the event loop's default
+executor so the loop stays responsive.
 """
 
 from __future__ import annotations
 
 import asyncio
+from itertools import islice
 from typing import Any, Callable, Hashable, Sequence
 
 __all__ = ["RequestBatcher"]
 
 
 class _Batch:
-    __slots__ = ("futures", "closed", "timer")
+    __slots__ = ("futures",)
 
     def __init__(self) -> None:
         # request -> future; dict preserves arrival order and dedupes.
         self.futures: dict[Hashable, asyncio.Future] = {}
-        self.closed = False
-        self.timer: asyncio.Task | None = None
+
+
+class _Lane:
+    """One key's work: the pass in flight and the requests queued behind it."""
+
+    __slots__ = ("queued", "running", "task")
+
+    def __init__(self) -> None:
+        # request -> future, in arrival order, waiting for the next pass.
+        self.queued: dict[Hashable, asyncio.Future] = {}
+        self.running: _Batch | None = None
+        self.task: asyncio.Task | None = None
 
 
 class RequestBatcher:
-    """Coalesce concurrent ``submit`` calls per key into batched passes.
+    """Run ``submit`` calls per key in passes that follow the backlog.
 
     Parameters
     ----------
@@ -44,9 +54,7 @@ class RequestBatcher:
         with the batch's distinct requests in arrival order; must return
         one result per request.  Runs in the default executor.
     max_batch:
-        Flush as soon as a batch holds this many distinct requests.
-    max_delay:
-        Seconds the first request in a batch waits for company.
+        Most distinct requests one pass takes from a key's backlog.
     metrics:
         Optional :class:`~repro.serve.metrics.MetricsRegistry` for batch
         size / coalescing telemetry.
@@ -56,88 +64,64 @@ class RequestBatcher:
         self,
         execute: Callable[[Hashable, Sequence[Hashable]], Sequence[Any]],
         max_batch: int = 32,
-        max_delay: float = 0.002,
         metrics=None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         self.execute = execute
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.metrics = metrics
-        self._pending: dict[Hashable, _Batch] = {}
+        self._lanes: dict[Hashable, _Lane] = {}
         self.submitted = 0
         self.coalesced = 0
         self.batches = 0
-        self.largest_batch = 0
 
     async def submit(self, key: Hashable, request: Hashable) -> Any:
-        """Enqueue ``request`` under ``key``; resolves with its result."""
+        """Queue ``request`` under ``key``; resolves with its result."""
         self.submitted += 1
         if self.metrics is not None:
             self.metrics.counter("serve_batch_submitted_total").inc()
-        batch = self._pending.get(key)
-        if batch is None or batch.closed:
-            batch = _Batch()
-            self._pending[key] = batch
-            batch.timer = asyncio.get_running_loop().create_task(
-                self._flush_after_delay(key, batch)
+        lane = self._lanes.get(key)
+        if lane is None:
+            lane = self._lanes[key] = _Lane()
+            lane.task = asyncio.get_running_loop().create_task(
+                self._drive(key, lane)
             )
-        future = batch.futures.get(request)
+        future = lane.queued.get(request)
+        if future is None and lane.running is not None:
+            future = lane.running.futures.get(request)
         if future is None:
             future = asyncio.get_running_loop().create_future()
-            batch.futures[request] = future
-            if len(batch.futures) >= self.max_batch:
-                self._close(key, batch)
-                if batch.timer is not None:
-                    batch.timer.cancel()
-                asyncio.get_running_loop().create_task(self._run(key, batch))
+            lane.queued[request] = future
         else:
-            # A twin request is already in flight: share its result.
+            # A twin request is queued or in flight: share its result.
             self.coalesced += 1
             if self.metrics is not None:
                 self.metrics.counter("serve_batch_coalesced_total").inc()
         return await future
 
     async def drain(self) -> None:
-        """Flush every pending batch immediately (shutdown/tests)."""
-        batches = [
-            (key, batch)
-            for key, batch in list(self._pending.items())
-            if not batch.closed
-        ]
-        for key, batch in batches:
-            self._close(key, batch)
-            if batch.timer is not None:
-                batch.timer.cancel()
-        await asyncio.gather(
-            *(self._run(key, batch) for key, batch in batches)
-        )
+        """Wait until no pass is queued or running (shutdown/tests)."""
+        while self._lanes:
+            await asyncio.wait([lane.task for lane in self._lanes.values()])
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _close(self, key: Hashable, batch: _Batch) -> None:
-        batch.closed = True
-        if self._pending.get(key) is batch:
-            del self._pending[key]
-
-    async def _flush_after_delay(self, key: Hashable, batch: _Batch) -> None:
+    async def _drive(self, key: Hashable, lane: _Lane) -> None:
+        """Run the lane's backlog, pass by pass, until it is empty."""
         try:
-            await asyncio.sleep(self.max_delay)
-        except asyncio.CancelledError:
-            return
-        if batch.closed:
-            return
-        self._close(key, batch)
-        await self._run(key, batch)
+            while lane.queued:
+                batch = lane.running = _Batch()
+                for request in list(islice(lane.queued, self.max_batch)):
+                    batch.futures[request] = lane.queued.pop(request)
+                await self._run(key, batch)
+        finally:
+            del self._lanes[key]
 
     async def _run(self, key: Hashable, batch: _Batch) -> None:
         requests = list(batch.futures)
         self.batches += 1
-        self.largest_batch = max(self.largest_batch, len(requests))
         if self.metrics is not None:
             self.metrics.counter("serve_batches_total").inc()
             self.metrics.histogram(
@@ -162,17 +146,3 @@ class RequestBatcher:
         for future, result in zip(batch.futures.values(), results):
             if not future.done():
                 future.set_result(result)
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "submitted": self.submitted,
-            "coalesced": self.coalesced,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"RequestBatcher(max_batch={self.max_batch}, "
-            f"max_delay={self.max_delay}, batches={self.batches})"
-        )

@@ -6,10 +6,12 @@ Two layers:
   owns the fleet, the per-object :class:`~repro.core.online.OnlineTracker`
   ingest state, the prediction cache, the request batcher, the
   admission controller, the refit scheduler, and the metrics registry.
-  Model passes are CPU work and run on the event loop's default
-  executor; all shared state is guarded by the fleet's per-object locks
-  (see the concurrency contract in :mod:`repro.core.fleet`), so the
-  loop stays responsive and correct.
+  Every predict that misses the cache goes through one path: the
+  :class:`~repro.serve.batching.RequestBatcher` runs it on the default
+  executor as soon as its object has no pass in flight, and batches only
+  the requests that queue behind a running pass.  Shared state is
+  guarded by the fleet's per-object locks (see the concurrency contract
+  in :mod:`repro.core.fleet`), so the loop stays responsive and correct.
 * :class:`PredictionServer` — a minimal stdlib HTTP/1.1 front-end over
   ``asyncio.start_server`` (keep-alive, Content-Length framing; no
   chunked encoding, TLS, or HTTP/2 — put a real proxy in front for
@@ -22,8 +24,8 @@ must pass :class:`~repro.serve.admission.AdmissionController` before any
 work is scheduled: over-rate clients get ``429``, full classes and
 watermark overload get ``503 + Retry-After``.  Admitted predicts carry a
 deadline (request ``deadline_ms`` or ``ServeConfig.default_deadline_ms``)
-enforced across the batch wait and executor hop; on deadline expiry the
-service degrades instead of hanging: a stale cache entry (response
+enforced across the batcher queue and executor hop; on deadline expiry
+the service degrades instead of hanging: a stale cache entry (response
 marked ``"degraded": true``) → a motion-function-only prediction → 503.
 Background refits run under :class:`~repro.serve.refit.RefitScheduler`
 (bounded concurrency, coalescing, backoff retry, dead-lettering) and
@@ -79,10 +81,8 @@ class ServeConfig:
     cache_ttl: float | None = 30.0
     cache_quantum: float = 1.0
     max_batch: int = 32
-    batch_delay: float = 0.002
     update_after: int | None = None
     enable_cache: bool = True
-    enable_batching: bool = True
     # --- admission control ---
     #: max in-flight predict requests before shedding with 503
     max_inflight_predict: int = 256
@@ -196,7 +196,6 @@ class PredictionService:
         self.batcher = RequestBatcher(
             self._execute_batch,
             max_batch=self.config.max_batch,
-            max_delay=self.config.batch_delay,
             metrics=self.metrics,
         )
         self.admission = AdmissionController(
@@ -343,21 +342,12 @@ class PredictionService:
                 # Pre-expired (e.g. overload delayed admission): degrade
                 # without queueing more work behind the congestion.
                 raise asyncio.TimeoutError
-        if self.config.enable_batching:
-            # Shield the shared batch future: a deadline on *this* waiter
-            # must not cancel the result out from under coalesced twins.
-            awaitable = asyncio.shield(
-                self.batcher.submit(object_id, request)
-            )
-        else:
-            awaitable = asyncio.get_running_loop().run_in_executor(
-                None, self._execute_batch, object_id, [request]
-            )
-        if remaining is not None:
-            result = await asyncio.wait_for(awaitable, timeout=remaining)
-        else:
-            result = await awaitable
-        return result if self.config.enable_batching else result[0]
+        # Shield the shared batch future: a deadline on *this* waiter
+        # must not cancel the result out from under coalesced twins.
+        return await asyncio.wait_for(
+            asyncio.shield(self.batcher.submit(object_id, request)),
+            timeout=remaining,
+        )
 
     def _degraded_answer(self, object_id, window, query_time, stale):
         """The graceful-degradation ladder, cheapest viable rung first.

@@ -222,7 +222,10 @@ class RouterService:
     # ------------------------------------------------------------------
     async def _probe_loop(self, state: _ShardState) -> None:
         config = self.router_config
-        while True:
+        # Loop while attached, not until cancelled: before Python 3.12,
+        # wait_for swallows a cancel that lands in the loop iteration
+        # where the probe's answer arrives, and teardown would wait forever.
+        while self._shards.get(state.shard_id) is state:
             try:
                 status, _, body = await asyncio.wait_for(
                     state.probe_client.request("GET", "/healthz"),

@@ -204,7 +204,7 @@ class TestSnapshotTools:
 
 class TestServeFlags:
     FLAGS = [
-        "--cache-entries", "64", "--cache-ttl", "0", "--batch-window-ms", "5",
+        "--cache-entries", "64", "--cache-ttl", "0",
         "--max-batch", "8", "--update-after", "3", "--refit-mode", "full",
         "--refit-full-every", "4", "--gap-policy", "pad",
         "--max-inflight-predict", "7", "--max-inflight-ingest", "6",

@@ -1,11 +1,21 @@
-"""Shared serve-suite fixtures: a small fitted commuter fleet.
+"""Shared serve-suite fixtures: a small fitted commuter fleet, a watchdog.
 
 The commuter history mirrors ``examples/quickstart.py`` — a daily
 east-then-north route with mild GPS noise — small enough to fit in
 milliseconds but rich enough that FQP/BQP answer most queries.
+
+Every serve test runs under a hang watchdog: a test that outlives
+``HANG_BUDGET_S`` dumps every thread's stack to the terminal and ends
+the run with a non-zero exit, instead of idling until the CI job's own
+timeout kills it without a trace.
 """
 
 from __future__ import annotations
+
+import contextlib
+import faulthandler
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +23,33 @@ import pytest
 from repro import FleetPredictionModel, HPMConfig, Trajectory
 
 PERIOD = 24
+#: seconds one serve test may take; the slowest takes a few seconds
+HANG_BUDGET_S = 120.0
+
+
+@pytest.fixture(scope="session")
+def terminal_stderr(pytestconfig):
+    """A descriptor for the real stderr, which output capture leaves alone."""
+    capman = pytestconfig.pluginmanager.getplugin("capturemanager")
+    suspended = (
+        capman.global_and_fixture_disabled()
+        if capman is not None
+        else contextlib.nullcontext()
+    )
+    with suspended:
+        fd = os.dup(sys.stderr.fileno())
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def hang_watchdog(terminal_stderr):
+    """Dump every thread's stack and exit if the test hangs."""
+    faulthandler.dump_traceback_later(
+        HANG_BUDGET_S, exit=True, file=terminal_stderr
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def commuter_base(period: int = PERIOD) -> np.ndarray:

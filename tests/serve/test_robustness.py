@@ -774,8 +774,8 @@ class TestDeadlineDegradation:
     def test_deadline_timeout_does_not_break_coalesced_twin(
         self, fleet, history
     ):
-        """A deadline cancelling one waiter must not cancel the shared
-        batch future out from under an identical coalesced request."""
+        """A deadline cancelling one waiter must not cancel the in-flight
+        pass's shared future out from under an identical twin."""
         payload = predict_payload(history)
 
         async def scenario(service, server, client):
@@ -796,12 +796,10 @@ class TestDeadlineDegradation:
             assert headers_hasty.get("x-degraded") == "true"
             assert status_patient == 200
             assert "x-degraded" not in headers_patient
+            # The hasty request joined the patient one's running pass.
+            assert service.batcher.coalesced == 1
 
-        serve_test(
-            fleet,
-            ServeConfig(enable_cache=False, batch_delay=0.05),
-            scenario,
-        )
+        serve_test(fleet, ServeConfig(enable_cache=False), scenario)
 
 
 # ----------------------------------------------------------------------

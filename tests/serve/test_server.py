@@ -157,25 +157,6 @@ class TestPredict:
 
         serve_test(fleet, ServeConfig(), scenario)
 
-    def test_batching_disabled_still_serves(self, fleet, history):
-        recent = new_day_window(history)
-        payload = {
-            "object_id": "default",
-            "recent": [list(f) for f in recent],
-            "query_time": recent[-1][0] + 3,
-        }
-
-        async def scenario(service, server, client):
-            status, _, body = await client.request("POST", "/predict", payload)
-            assert status == 200
-            assert service.batcher.batches == 0
-
-        serve_test(
-            fleet,
-            ServeConfig(enable_batching=False, enable_cache=False),
-            scenario,
-        )
-
 
 class TestIngest:
     def test_ingest_feeds_tracker_and_serves_windowless_predicts(

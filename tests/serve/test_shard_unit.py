@@ -493,3 +493,36 @@ class TestRouterService:
             assert "query_time" in json.loads(body)["error"]
 
         router_test(multi_fleet, scenario)
+
+    def test_stop_ends_a_probe_whose_cancel_was_swallowed(self):
+        """Before Python 3.12, wait_for swallows a cancel that lands in
+        the loop iteration where the probe's answer arrives; stop() must
+        still end the probe loop instead of waiting on it forever."""
+
+        class AnswerOnCue:
+            def __init__(self):
+                self.answer = asyncio.get_running_loop().create_future()
+
+            def request(self, method, path):
+                return self.answer
+
+            async def close(self):
+                pass
+
+        async def body():
+            router = RouterService(
+                RouterConfig(num_shards=1, probe_interval=0.01)
+            )
+            router.attach_shard(0, "127.0.0.1", 9)  # never dialled
+            probe = router._shards[0].probe_client = AnswerOnCue()
+            await asyncio.sleep(0)  # the probe now waits for its answer
+            stop = asyncio.ensure_future(router.stop())
+            # stop() cancels the probe in the same iteration as this answer.
+            asyncio.get_running_loop().call_soon(
+                probe.answer.set_result, (200, {}, b'{"objects": 0}')
+            )
+            # Shielded: teardown suppresses a cancel, so an unshielded
+            # timeout would end stop() rather than fail the test.
+            await asyncio.wait_for(asyncio.shield(stop), 5.0)
+
+        asyncio.run(body())
