@@ -246,11 +246,6 @@ _SERVE_FLAGS: tuple[tuple[str, dict], ...] = (
                          help="most queued predicts for one object run in one model pass")),
     ("--update-after", dict(type=int, default=None,
                             help="refit an object after this many ingested fixes")),
-    ("--refit-mode", dict(choices=("delta", "full"), default=None,
-                          help="override the models' refit mode (default: model config, "
-                               "normally delta — incremental re-mine + in-place TPT patch)")),
-    ("--refit-full-every", dict(type=int, default=None,
-                                help="force a full re-mine every Nth refit per object")),
     ("--gap-policy", dict(choices=("reject", "pad"), default="reject",
                           help="non-contiguous ingested fixes: reject the flush or pad "
                                "gaps with the last known position")),
@@ -301,8 +296,6 @@ def _serve_config(args):
         cache_ttl=args.cache_ttl if args.cache_ttl > 0 else None,
         max_batch=args.max_batch,
         update_after=args.update_after,
-        refit_mode=args.refit_mode,
-        refit_full_every=args.refit_full_every,
         gap_policy=args.gap_policy,
         enable_cache=args.cache_ttl > 0,
         max_inflight_predict=args.max_inflight_predict,

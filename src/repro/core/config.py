@@ -81,26 +81,11 @@ class HPMConfig:
         DESIGN.md §11); ``"full"`` always re-mines the whole history (the
         legacy path).  Either mode rebuilds the index when key geometry
         drifts.
-    refit_full_every:
-        Staleness budget: force a full re-mine after this many consecutive
-        delta refits (``None`` = never — delta refits are exact, so the
-        budget is a belt-and-braces knob, not a correctness requirement).
     query_backend:
         Candidate-scoring implementation: ``"kernel"`` (default) scores
         whole consequence buckets with the packed numpy kernel
         (:mod:`repro.core.scorekernel`, bit-identical answers),
         ``"scan"`` keeps the per-candidate Python loop as the oracle.
-    velocity_filter:
-        Opt-in velocity-partitioned candidate pruning (kernel backend
-        only): candidates whose minimum realizable speed exceeds the
-        query object's speed band are masked out before scoring.  A
-        heuristic — it may drop answers the exact path would return — so
-        it defaults to off and is ignored by the scan oracle.
-    velocity_bands:
-        Number of quantile speed bands for the velocity filter.
-    velocity_slack:
-        Multiplier on the admitted band edge (>1 keeps a safety margin of
-        faster candidates).
     """
 
     period: int = 300
@@ -120,11 +105,7 @@ class HPMConfig:
     tree_max_entries: int = 32
     tree_min_entries: int | None = None
     refit_mode: str = "delta"
-    refit_full_every: int | None = None
     query_backend: str = "kernel"
-    velocity_filter: bool = False
-    velocity_bands: int = 4
-    velocity_slack: float = 2.0
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -178,21 +159,9 @@ class HPMConfig:
             raise ValueError(
                 f"refit_mode must be 'delta' or 'full', got {self.refit_mode!r}"
             )
-        if self.refit_full_every is not None and self.refit_full_every < 1:
-            raise ValueError(
-                f"refit_full_every must be >= 1 or None, got {self.refit_full_every}"
-            )
         if self.query_backend not in ("kernel", "scan"):
             raise ValueError(
                 f"query_backend must be 'kernel' or 'scan', got {self.query_backend!r}"
-            )
-        if self.velocity_bands < 2:
-            raise ValueError(
-                f"velocity_bands must be >= 2, got {self.velocity_bands}"
-            )
-        if not self.velocity_slack > 0:
-            raise ValueError(
-                f"velocity_slack must be positive, got {self.velocity_slack}"
             )
 
     @property

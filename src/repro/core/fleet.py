@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 import time
-from pickle import dumps as _pickle_dumps, loads as _pickle_loads
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -93,14 +92,6 @@ def _fit_fleet_object(
     model = HybridPredictionModel(config, motion_factory)
     model.fit(trajectory)
     return model, time.perf_counter() - start
-
-
-def _predict_one_pickled(
-    model_blob: bytes, recent: list[TimedPoint], query_time: int
-) -> Prediction:
-    """Top-1 prediction on a serialised model; process-pool scoring task."""
-    model: HybridPredictionModel = _pickle_loads(model_blob)
-    return model.predict_one(recent, query_time)
 
 
 class FleetPredictionModel:
@@ -421,97 +412,24 @@ class FleetPredictionModel:
         self,
         recents: Mapping[str, Sequence[TimedPoint]],
         query_time: int,
-        max_workers: int | None = None,
-        executor: str = "thread",
     ) -> dict[str, Prediction]:
         """Top-1 prediction for every supplied object at one query time.
 
         Objects missing from ``recents`` are skipped; unknown ids raise
-        :class:`KeyError`.  With ``max_workers`` > 1 the per-object
-        model passes fan out over a pool: ``executor="thread"``
-        (default) scores the live models under their locks;
-        ``executor="process"`` snapshots each model (pickled under its
-        lock) and scores the copies in worker processes — higher
-        throughput for large fleets at the price of shipping the models,
-        and model-level metrics are not incremented by the worker-side
-        copies.  Results are identical to serial scoring in every mode.
-
-        On the kernel query backend the serial path batches all objects'
-        FQP lookups into one kernel invocation (see
-        :mod:`repro.core.scorekernel`): plans are built per object under
-        that object's lock, scored together against immutable pack
-        snapshots, then answered under the locks again — same answers,
-        one array pass instead of ``n`` scoring loops.
-        """
-        items = list(recents.items())
-        serial = (
-            executor == "serial"
-            or max_workers is None
-            or max_workers <= 1
-            or len(items) <= 1
-        )
-        if serial:
-            if len(items) > 1 and self.config.query_backend == "kernel":
-                return self._predict_all_batched(items, query_time)
-            out: dict[str, Prediction] = {}
-            for object_id, recent in items:
-                with self.object_lock(object_id):
-                    out[object_id] = self[object_id].predict_one(
-                        list(recent), query_time
-                    )
-            return out
-
-        if executor == "process":
-            # Snapshot every model under its lock so a concurrent
-            # in-place update can never be pickled halfway.
-            jobs = []
-            for object_id, recent in items:
-                with self.object_lock(object_id):
-                    blob = _pickle_dumps(self[object_id])
-                jobs.append((object_id, (blob, list(recent), query_time)))
-            results, failures = run_keyed_tasks(
-                _predict_one_pickled,
-                jobs,
-                max_workers=max_workers,
-                executor="process",
-            )
-        else:
-
-            def score(object_id: str, recent) -> Prediction:
-                with self.object_lock(object_id):
-                    return self[object_id].predict_one(list(recent), query_time)
-
-            results, failures = run_keyed_tasks(
-                score,
-                [(object_id, (object_id, recent)) for object_id, recent in items],
-                max_workers=max_workers,
-                executor="thread",
-            )
-        if failures:
-            # Mirror serial semantics: surface the first failure in
-            # input order (the one the serial loop would have hit).
-            for object_id, _ in items:
-                if object_id in failures:
-                    raise failures[object_id]
-        return results
-
-    def _predict_all_batched(
-        self, items: list, query_time: int
-    ) -> dict[str, Prediction]:
-        """Serial ``predict_all`` with cross-object kernel batching.
-
-        Three phases: (1) build each object's prepared plan under its
-        lock (the plan snapshots the tree's packed kernel arrays there);
-        (2) prime every plan's FQP entry in one stacked kernel invocation
-        outside the locks — the packs are immutable snapshots, so a
-        concurrent refit cannot be scored mid-patch; (3) answer each
-        query under the object's lock again, hitting the primed memo.
-        Answers (and model-level metrics) match the per-object loop;
-        plan-build errors surface in input order, as the serial loop's
-        would.
+        :class:`KeyError`.  All objects' FQP lookups are batched into one
+        kernel invocation (see :mod:`repro.core.scorekernel`) in three
+        phases: (1) build each object's prepared plan under its lock (the
+        plan snapshots the tree's packed kernel arrays there); (2) prime
+        every plan's FQP entry in one stacked kernel pass outside the
+        locks — the packs are immutable snapshots, so a concurrent refit
+        cannot be scored mid-patch; (3) answer each query under the
+        object's lock again, hitting the primed memo.  On the scan backend
+        phase 2 primes nothing.  Answers (and model-level metrics) match
+        per-object ``predict_one`` calls; plan-build errors surface in
+        input order.
         """
         prepared = []
-        for object_id, recent in items:
+        for object_id, recent in recents.items():
             with self.object_lock(object_id):
                 model = self[object_id]
                 prepared.append((object_id, model, model.prepare(list(recent))))

@@ -83,7 +83,6 @@ class HybridPredictionModel:
         # update prepared against an older token is refused by
         # commit_update (see StaleUpdateError).
         self._state_token = 0
-        self._deltas_since_full = 0
         self._last_refit_stats: RefitStats | None = None
 
     def bind_metrics(self, registry) -> None:
@@ -100,8 +99,8 @@ class HybridPredictionModel:
 
     def __getstate__(self) -> dict:
         # Registries hold threading locks and are process-local; a model
-        # crossing a pickle boundary (parallel fit workers, predict_all
-        # process scoring) travels bare and is re-bound on adoption.
+        # crossing a pickle boundary (parallel fit workers) travels bare
+        # and is re-bound on adoption.
         state = self.__dict__.copy()
         state["_metrics"] = None
         return state
@@ -111,7 +110,6 @@ class HybridPredictionModel:
         # Snapshots written before the incremental-refit bookkeeping
         # existed restore with fresh counters.
         self.__dict__.setdefault("_state_token", 0)
-        self.__dict__.setdefault("_deltas_since_full", 0)
         self.__dict__.setdefault("_last_refit_stats", None)
 
     # ------------------------------------------------------------------
@@ -129,7 +127,6 @@ class HybridPredictionModel:
         self._rebuild()
         self._observe_fit_phases()
         self._state_token += 1
-        self._deltas_since_full = 0
         self._last_refit_stats = None
         return self
 
@@ -201,13 +198,6 @@ class HybridPredictionModel:
         mode = refit if refit is not None else cfg.refit_mode
         if mode not in ("delta", "full"):
             raise ValueError(f"refit must be 'delta' or 'full', got {mode!r}")
-        fallback = None
-        if (
-            mode == "delta"
-            and cfg.refit_full_every is not None
-            and self._deltas_since_full >= cfg.refit_full_every
-        ):
-            mode, fallback = "full", "staleness"
 
         num_subs = (len(history) + cfg.period - 1) // cfg.period
         phase_seconds: dict[str, float] = {}
@@ -307,7 +297,6 @@ class HybridPredictionModel:
             added, removed, replaced, kept = len(patterns), len(old_patterns), 0, 0
         stats = RefitStats(
             mode=mode,
-            fallback=fallback,
             index=index_desc,
             new_rows=int(new_rows.shape[0]),
             dirty_offsets=dirty_count,
@@ -371,9 +360,6 @@ class HybridPredictionModel:
         else:
             self._build_index()
         self._last_refit_stats = staged.refit
-        self._deltas_since_full = (
-            0 if staged.refit.mode == "full" else self._deltas_since_full + 1
-        )
         self._state_token += 1
         self._observe_fit_phases()
         if self._metrics is not None:
@@ -415,7 +401,6 @@ class HybridPredictionModel:
         )
         self._build_index(tree_packed)
         self._state_token += 1
-        self._deltas_since_full = 0
         self._last_refit_stats = None
 
     def _mine(self, trajectory: Trajectory) -> None:

@@ -3,9 +3,9 @@
 Offline training is embarrassingly parallel: one DBSCAN + Apriori pass
 per object, no shared state until the fitted model is installed.  This
 module owns the ``concurrent.futures`` plumbing that
-:class:`~repro.core.fleet.FleetPredictionModel` (parallel ``fit`` /
-``predict_all``) and :func:`~repro.core.persistence.load_fleet` fan
-keyed tasks out over:
+:class:`~repro.core.fleet.FleetPredictionModel` (parallel ``fit``),
+:func:`~repro.core.persistence.save_fleet` and
+:func:`~repro.core.persistence.load_fleet` fan keyed tasks out over:
 
 * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
   the task function must be a picklable module-level callable and every
@@ -21,9 +21,7 @@ keyed tasks out over:
 Tasks are failure-isolated: one raising task never poisons the pool or
 masks the other results.  Failures are collected per key and returned
 alongside the successes so the caller decides the error policy
-(:class:`~repro.core.fleet.FleetFitError` collects them for training;
-``predict_all`` re-raises the first in input order to match serial
-semantics).
+(:class:`~repro.core.fleet.FleetFitError` collects them for training).
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ A fleet (:func:`save_fleet`) stores one entry per object; a single model
     kernel_buckets            (B, 3)    time_id, n_rows, table width
     kernel_rows               (K, 4)    seq, pattern row, support, cons offset
     kernel_conf               (K,)      candidate confidences
-    kernel_minspeed           (K,)      velocity-partition minimum speeds
     kernel_cells_cols         (C,)      flattened sparse ``bit_cols``
     kernel_cells_weights      (C,)      flattened sparse ``bit_weights``
     ========================  ========  =======================================
@@ -68,7 +67,10 @@ re-saving over a snapshot never rewrites pages a loaded model still maps.
 
 Format version 1 (a directory of per-object ``.npz`` archives) and the
 single-model ``.npz`` file are no longer read: loading either raises
-``ValueError`` naming the format.
+``ValueError`` naming the format.  Version-2 snapshots written before the
+velocity filter and the refit staleness budget were removed still load:
+their retired config keys are dropped (see :func:`_stored_config`) and
+a block the format no longer lists is never opened.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ _BLOCK_SPECS: dict[str, tuple[str, tuple[int, ...] | None]] = {
     "kernel_buckets": ("<i8", (3,)),
     "kernel_rows": ("<i8", (4,)),
     "kernel_conf": ("<f8", ()),
-    "kernel_minspeed": ("<f8", ()),
     "kernel_cells_cols": ("<i8", ()),
     "kernel_cells_weights": ("<f8", ()),
 }
@@ -248,7 +249,7 @@ def load_fleet(
             for object_id, entry in objects.items()
             if object_id in wanted
         }
-    config = HPMConfig(**manifest["config"])
+    config = HPMConfig(**_stored_config(manifest, directory))
     stored_kind = manifest.get("kernel_kind")
     # Stored kernels only apply when the fleet still scores with the
     # weight family they were packed for; otherwise first queries build
@@ -316,11 +317,12 @@ def repack_snapshot(
     kind: str | None = None
     for source in sources:
         manifest = read_manifest(source)
+        stored = _stored_config(manifest, source)
         if config is None:
-            config = manifest["config"]
+            config = stored
             kind = manifest["kernel_kind"]
             HPMConfig(**config)  # a corrupted config fails loudly, once
-        elif manifest["config"] != config:
+        elif stored != config:
             raise ValueError(
                 f"{source}: snapshot config differs from the other sources'"
             )
@@ -347,6 +349,30 @@ def repack_snapshot(
         [(object_id, _slice_object_arrays(*found[object_id])) for object_id in ids],
     )
     return ids
+
+
+# Config keys that snapshots written before their options were removed
+# still carry.  None of them changes an answer while ``velocity_filter``
+# is off, so they are dropped on read.
+_RETIRED_CONFIG_KEYS = ("velocity_bands", "velocity_slack", "refit_full_every")
+
+
+def _stored_config(manifest: dict, source: str | Path) -> dict:
+    """The manifest's config as ``HPMConfig`` keyword arguments.
+
+    A snapshot fitted with ``velocity_filter`` on answered queries from a
+    pruned candidate set, which this version cannot reproduce; it is
+    refused rather than served with different answers.
+    """
+    config = dict(manifest["config"])
+    if config.pop("velocity_filter", False):
+        raise ValueError(
+            f"{source}: snapshot config sets velocity_filter, which is no "
+            "longer supported; fit and save the fleet again without it"
+        )
+    for key in _RETIRED_CONFIG_KEYS:
+        config.pop(key, None)
+    return config
 
 
 def snapshot_stat(directory: str | Path) -> dict:
@@ -511,7 +537,6 @@ def _extract_index_arrays(
     buckets: list[tuple[int, int, int]] = []
     row_blocks: list[np.ndarray] = []
     conf_blocks: list[np.ndarray] = []
-    speed_blocks: list[np.ndarray] = []
     col_blocks: list[np.ndarray] = []
     weight_blocks: list[np.ndarray] = []
     for time_id, pack in kernel.export_buckets():
@@ -527,7 +552,6 @@ def _extract_index_arrays(
         rows[:, 3] = pack.cons_offsets
         row_blocks.append(rows)
         conf_blocks.append(pack.confidences)
-        speed_blocks.append(pack.min_speeds)
         col_blocks.append(
             np.asarray(pack.bit_cols, dtype=np.int64).reshape(-1)
         )
@@ -536,7 +560,6 @@ def _extract_index_arrays(
         "kernel_buckets": np.asarray(buckets, dtype=np.int64).reshape(-1, 3),
         "kernel_rows": _concat(row_blocks, np.int64, (4,)),
         "kernel_conf": _concat(conf_blocks, np.float64),
-        "kernel_minspeed": _concat(speed_blocks, np.float64),
         "kernel_cells_cols": _concat(col_blocks, np.int64),
         "kernel_cells_weights": _concat(weight_blocks, np.float64),
     }
@@ -648,7 +671,6 @@ def _write_snapshot(
                 ),
             }
             _append("kernel_conf", kernel["kernel_conf"])
-            _append("kernel_minspeed", kernel["kernel_minspeed"])
             _append("kernel_cells_weights", kernel["kernel_cells_weights"])
         objects[object_id] = entry
 
@@ -700,9 +722,12 @@ def _open_blocks(
     O(1) per block and pages fault in lazily.  Shape mismatches and
     unreadable files raise ``ValueError`` naming the block, so
     truncation or corruption is caught before any model is half-built.
+    Blocks the format no longer uses are skipped.
     """
     blocks: dict[str, np.ndarray] = {}
     for name, shape in manifest["blocks"].items():
+        if name not in _BLOCK_SPECS:
+            continue
         path = _block_path(directory, name)
         try:
             arr = np.load(
@@ -742,7 +767,6 @@ def _kernel_from_arrays(
     buckets = blocks["kernel_buckets"][b0:b1].tolist()
     rows = blocks["kernel_rows"][r0:r1]
     conf = blocks["kernel_conf"][r0:r1]
-    speeds = blocks["kernel_minspeed"][r0:r1]
     cols = blocks["kernel_cells_cols"][c0:c1]
     weights = blocks["kernel_cells_weights"][c0:c1]
     packs: dict[int, CandidatePack] = {}
@@ -758,7 +782,6 @@ def _kernel_from_arrays(
             confidences=conf[row_cursor : row_cursor + n],
             supports=row_slice[:, 2],
             cons_offsets=row_slice[:, 3],
-            min_speeds=speeds[row_cursor : row_cursor + n],
             patterns=[patterns[i] for i in row_slice[:, 1].tolist()],
         )
         row_cursor += n
@@ -912,7 +935,6 @@ def _slice_object_arrays(
             "kernel_buckets": blocks["kernel_buckets"][b0:b1],
             "kernel_rows": blocks["kernel_rows"][k0:k1],
             "kernel_conf": blocks["kernel_conf"][k0:k1],
-            "kernel_minspeed": blocks["kernel_minspeed"][k0:k1],
             "kernel_cells_cols": blocks["kernel_cells_cols"][c0:c1],
             "kernel_cells_weights": blocks["kernel_cells_weights"][c0:c1],
         }

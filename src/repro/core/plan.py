@@ -56,7 +56,6 @@ from .scorekernel import (
     finalize_forward,
     premise_scores,
     prime_plan_queries,
-    window_speed,
 )
 from .similarity import PremiseScorer
 from .tpt import TrajectoryPatternTree
@@ -175,7 +174,6 @@ class PreparedQuery:
         self._backend = "scan"
         self._kernel = None
         self._qvec: np.ndarray | None = None
-        self._velocity_cap: float | None = None
         if tree is not None and config.query_backend == "kernel":
             kernel = tree.score_kernel(self._scorer.kind)
             if kernel is None or kernel.premise_length != codec.premise_length:
@@ -187,12 +185,6 @@ class PreparedQuery:
                 for bit in iter_set_bits(self.premise_key):
                     qvec[bit] = 1.0
                 self._qvec = qvec
-                if config.velocity_filter:
-                    self._velocity_cap = kernel.velocity_cap(
-                        window_speed(self._window),
-                        config.velocity_slack,
-                        config.velocity_bands,
-                    )
 
     # ------------------------------------------------------------------
     # public API (mirrors HybridPredictor's validation order exactly)
@@ -300,9 +292,7 @@ class PreparedQuery:
         pack = self._kernel.block_for_offset(offset)
         if pack is None:
             return None
-        return finalize_forward(
-            pack, premise_scores(pack, self._qvec), self._velocity_cap
-        )
+        return finalize_forward(pack, premise_scores(pack, self._qvec))
 
     def _store_forward(self, offset: int, entry) -> None:
         memo = self._fqp_scored
@@ -465,33 +455,18 @@ class PreparedQuery:
         pack = self._kernel.merged(mask) if mask else None
         if pack is None:
             return None
-        cap = self._velocity_cap
-        rows = None
-        if cap is not None:
-            rows = np.flatnonzero(pack.velocity_rows(cap))
-            if rows.size == 0:
-                return None
-            if rows.size == pack.n:
-                rows = None
         sr = premise_scores(pack, self._qvec)
         confidences = pack.confidences
-        supports = pack.supports
-        cons_offsets = pack.cons_offsets
-        if rows is not None:
-            sr = sr[rows]
-            confidences = confidences[rows]
-            supports = supports[rows]
-            cons_offsets = cons_offsets[rows]
         cfg = self.config
         period = cfg.period
         horizon = query_time - self.current_time
         penalty = min(1.0, cfg.distant_threshold / horizon)
         denominator = relaxation + 1
         query_offset = query_time % period
-        diff = np.abs(cons_offsets - query_offset) % period
+        diff = np.abs(pack.cons_offsets - query_offset) % period
         sc = np.maximum(0.0, 1.0 - np.minimum(diff, period - diff) / denominator)
         scores = (sr * penalty + sc) * confidences
-        return KernelHits(scores, confidences, supports, rows, pack).top(k)
+        return KernelHits(scores, confidences, pack.supports, None, pack).top(k)
 
     # ------------------------------------------------------------------
     # motion fallback (fit-once, same degradation chain as before)

@@ -93,9 +93,6 @@ class RefitStats:
     mode:
         ``"delta"`` (incremental path) or ``"full"`` (whole-history
         re-mine).
-    fallback:
-        Why a requested delta escalated to full (``"staleness"`` — the
-        ``refit_full_every`` budget ran out) or ``None``.
     index:
         ``"kept"`` (no tree surgery needed), ``"patched"`` (in-place
         insert/remove), ``"rebuilt"`` (key geometry drifted — fresh codec
@@ -113,7 +110,6 @@ class RefitStats:
     """
 
     mode: str
-    fallback: str | None
     index: str
     new_rows: int
     dirty_offsets: int

@@ -40,24 +40,10 @@ query premise key overlaps the candidate's — exactly the filter
 neither does the kernel's backward path.  Top-k uses ``argpartition`` plus
 a stable ``lexsort`` on (score desc, confidence desc, support desc), which
 reproduces ``heapq.nsmallest``'s ordering including tie stability.
-
-Velocity partitioning (opt-in)
-------------------------------
-Following "Boosting Moving Object Indexing through Velocity Partitioning"
-(PAPERS.md), each candidate carries the minimum average speed an object
-must sustain to travel from its last premise region to its consequence
-region in the pattern's time gap.  Candidates are bucketed into speed
-bands (quantiles of that minimum speed); a query object whose
-recent-window speed falls in a lower band cannot plausibly realize the
-faster patterns, so their rows are masked out before scoring.  This is a
-**pruning heuristic**, not an exact transform — it is gated behind
-``HPMConfig.velocity_filter`` (default off) and ignored by the scan
-oracle; all byte-identity guarantees are stated for the filter disabled.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,8 +62,6 @@ __all__ = [
     "premise_scores",
     "prime_plan_queries",
     "top_indices",
-    "window_speed",
-    "pattern_min_speed",
 ]
 
 # Histogram buckets for predict_kernel_batch_size: the registry ignores
@@ -114,9 +98,7 @@ class CandidatePack:
         "confidences",
         "supports",
         "cons_offsets",
-        "min_speeds",
         "patterns",
-        "_velocity_rows",
     )
 
     def __init__(
@@ -127,7 +109,6 @@ class CandidatePack:
         confidences: np.ndarray,
         supports: np.ndarray,
         cons_offsets: np.ndarray,
-        min_speeds: np.ndarray,
         patterns: list,
     ):
         self.seqs = seqs
@@ -136,9 +117,7 @@ class CandidatePack:
         self.confidences = confidences
         self.supports = supports
         self.cons_offsets = cons_offsets
-        self.min_speeds = min_speeds
         self.patterns = patterns
-        self._velocity_rows: dict[float, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -147,16 +126,6 @@ class CandidatePack:
     @property
     def width(self) -> int:
         return self.bit_cols.shape[1]
-
-    def velocity_rows(self, cap: float) -> np.ndarray:
-        """Boolean row mask ``min_speeds <= cap`` (memoised per cap)."""
-        mask = self._velocity_rows.get(cap)
-        if mask is None:
-            mask = self.min_speeds <= cap
-            if len(self._velocity_rows) >= 64:
-                self._velocity_rows.pop(next(iter(self._velocity_rows)))
-            self._velocity_rows[cap] = mask
-        return mask
 
 
 def pack_premise_tables(
@@ -242,9 +211,7 @@ class KernelHits:
         return [(float(self.scores[j]), patterns[int(rows[j])]) for j in idx]
 
 
-def finalize_forward(
-    pack: CandidatePack, sr: np.ndarray, velocity_cap: float | None
-) -> KernelHits | None:
+def finalize_forward(pack: CandidatePack, sr: np.ndarray) -> KernelHits | None:
     """FQP post-processing: keep overlapping rows, apply Eq. 2.
 
     ``sr > 0`` is exactly the ``premise_bits & q_rk`` filter of
@@ -253,8 +220,6 @@ def finalize_forward(
     candidates" answer.
     """
     keep = sr > 0.0
-    if velocity_cap is not None:
-        keep &= pack.velocity_rows(velocity_cap)
     rows = np.flatnonzero(keep)
     if rows.size == 0:
         return None
@@ -267,35 +232,6 @@ def finalize_forward(
     return KernelHits(
         sr * confidences, confidences, pack.supports[rows], rows, pack
     )
-
-
-def pattern_min_speed(pattern) -> float:
-    """Minimum average speed to realize ``pattern``: distance from the last
-    premise region's center to the consequence center over the offset gap."""
-    last = pattern.premise[-1]
-    gap = pattern.consequence.offset - last.offset
-    if gap <= 0:
-        return 0.0
-    c, p = pattern.consequence.center, last.center
-    return math.hypot(c.x - p.x, c.y - p.y) / gap
-
-
-def window_speed(window: Sequence) -> float:
-    """Fastest per-step speed observed over a recent-movement window."""
-    best = 0.0
-    prev = None
-    for sample in window:
-        if prev is not None:
-            dt = sample.t - prev.t
-            if dt > 0:
-                point, prev_point = sample.point, prev.point
-                speed = (
-                    math.hypot(point.x - prev_point.x, point.y - prev_point.y) / dt
-                )
-                if speed > best:
-                    best = speed
-        prev = sample
-    return best
 
 
 def _pack_bucket(bucket: list, scorer: PremiseScorer) -> CandidatePack:
@@ -312,7 +248,6 @@ def _pack_bucket(bucket: list, scorer: PremiseScorer) -> CandidatePack:
         cons_offsets=np.array(
             [p.consequence_offset for p in patterns], dtype=np.int64
         ),
-        min_speeds=np.array([pattern_min_speed(p) for p in patterns]),
         patterns=patterns,
     )
 
@@ -339,7 +274,6 @@ def _merge_packs(blocks: list[CandidatePack]) -> CandidatePack:
         confidences=np.concatenate([b.confidences for b in blocks])[first],
         supports=np.concatenate([b.supports for b in blocks])[first],
         cons_offsets=np.concatenate([b.cons_offsets for b in blocks])[first],
-        min_speeds=np.concatenate([b.min_speeds for b in blocks])[first],
         patterns=[all_patterns[i] for i in first],
     )
 
@@ -367,7 +301,6 @@ class ScoreKernel:
         self._blocks = blocks
         self._offset_time_ids = offset_time_ids
         self._merged: dict[int, CandidatePack | None] = {}
-        self._band_edges: dict[int, np.ndarray | None] = {}
 
     @classmethod
     def build(cls, tree, kind: str) -> "ScoreKernel":
@@ -437,41 +370,6 @@ class ScoreKernel:
         self._merged[mask] = pack
         return pack
 
-    # ------------------------------------------------------------------
-    # velocity partitioning
-    # ------------------------------------------------------------------
-    def band_edges(self, bands: int) -> np.ndarray | None:
-        """Quantile speed-band edges over all candidates (memoised)."""
-        edges = self._band_edges.get(bands)
-        if edges is None and bands not in self._band_edges:
-            if bands < 2 or not self._blocks:
-                edges = None
-            else:
-                speeds = np.concatenate(
-                    [b.min_speeds for b in self._blocks.values()]
-                )
-                if speeds.size == 0:
-                    edges = None
-                else:
-                    edges = np.quantile(
-                        speeds, [i / bands for i in range(1, bands)]
-                    )
-            self._band_edges[bands] = edges
-        return edges
-
-    def velocity_cap(
-        self, speed: float, slack: float, bands: int
-    ) -> float | None:
-        """Max candidate ``min_speed`` admitted for an object moving at
-        ``speed``; ``None`` (no pruning) for the unbounded top band."""
-        edges = self.band_edges(bands)
-        if edges is None:
-            return None
-        band = int(np.searchsorted(edges, speed, side="right"))
-        if band >= edges.size:
-            return None
-        return float(edges[band]) * slack
-
 
 # ----------------------------------------------------------------------
 # cross-plan batching
@@ -514,9 +412,7 @@ def prime_plan_queries(
         if len(tasks) == 1:
             plan, offset, pack = tasks[0]
             sr = premise_scores(pack, plan._qvec)
-            plan._store_forward(
-                offset, finalize_forward(pack, sr, plan._velocity_cap)
-            )
+            plan._store_forward(offset, finalize_forward(pack, sr))
         else:
             _prime_batched(tasks)
     except Exception:
@@ -554,6 +450,4 @@ def _prime_batched(tasks: list[tuple[object, int, CandidatePack]]) -> None:
         r += n
     sr_all = (weights * q_all[cols]).cumsum(axis=1)[:, -1]
     for plan, offset, pack, a, b in spans:
-        plan._store_forward(
-            offset, finalize_forward(pack, sr_all[a:b], plan._velocity_cap)
-        )
+        plan._store_forward(offset, finalize_forward(pack, sr_all[a:b]))

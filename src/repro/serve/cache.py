@@ -3,9 +3,9 @@
 Predictive queries repeat: a dashboard polls the same object at the same
 horizon, many clients ask "where is bus 42 at 9:00" within the same few
 seconds.  The model pass is deterministic given (recent window, query
-time, k), so the service memoises answers keyed by exactly that — with
-the window's coordinates quantised to a grid so GPS jitter far below the
-model's region size (``eps``) does not defeat the cache.
+time, k), so the service memoises answers keyed by exactly that.  The
+window's coordinates enter the key exactly: a cached answer is only ever
+returned for the very query that produced it.
 
 Eviction is twofold: least-recently-used beyond ``max_entries``, and a
 per-entry TTL so a cached answer can never outlive the freshness window
@@ -37,9 +37,6 @@ class PredictionCache:
         LRU capacity; the oldest entry is evicted when exceeded.
     ttl:
         Seconds an entry stays valid (``None`` disables expiry).
-    quantum:
-        Grid size for quantising window coordinates in :meth:`make_key`.
-        Jitter smaller than the quantum maps to the same key.
     clock:
         Monotonic time source (injectable for tests).
     metrics:
@@ -51,7 +48,6 @@ class PredictionCache:
         self,
         max_entries: int = 4096,
         ttl: float | None = 30.0,
-        quantum: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
         metrics=None,
     ):
@@ -59,11 +55,8 @@ class PredictionCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if ttl is not None and ttl <= 0:
             raise ValueError(f"ttl must be positive, got {ttl}")
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum}")
         self.max_entries = max_entries
         self.ttl = ttl
-        self.quantum = quantum
         self.clock = clock
         self.metrics = metrics
         self._entries: OrderedDict[tuple, tuple[float, Any]] = OrderedDict()
@@ -85,11 +78,8 @@ class PredictionCache:
         query_time: int,
         k: int | None,
     ) -> tuple:
-        """Cache key: (object, quantised recent window, query time, k)."""
-        q = self.quantum
-        window = tuple(
-            (p.t, round(p.x / q), round(p.y / q)) for p in recent
-        )
+        """Cache key: (object, recent window, query time, k)."""
+        window = tuple((p.t, p.x, p.y) for p in recent)
         return (object_id, window, int(query_time), k)
 
     # ------------------------------------------------------------------

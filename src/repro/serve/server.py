@@ -79,7 +79,6 @@ class ServeConfig:
 
     cache_entries: int = 4096
     cache_ttl: float | None = 30.0
-    cache_quantum: float = 1.0
     max_batch: int = 32
     update_after: int | None = None
     enable_cache: bool = True
@@ -102,10 +101,6 @@ class ServeConfig:
     #: server-side default predict deadline; ``None`` disables
     default_deadline_ms: float | None = 10_000.0
     # --- background refits ---
-    #: per-flush refit mode override: "delta" / "full" / None = model default
-    refit_mode: str | None = None
-    #: force a full re-mine every Nth flush per object (None = never force)
-    refit_full_every: int | None = None
     #: how trackers treat fixes non-contiguous with the history: "reject"/"pad"
     gap_policy: str = "reject"
     #: refits running concurrently
@@ -190,7 +185,6 @@ class PredictionService:
         self.cache = PredictionCache(
             max_entries=self.config.cache_entries,
             ttl=self.config.cache_ttl,
-            quantum=self.config.cache_quantum,
             metrics=self.metrics,
         )
         self.batcher = RequestBatcher(
@@ -472,8 +466,6 @@ class PredictionService:
                 update_after=self.config.update_after,
                 lock=self.fleet.object_lock(object_id),
                 gap_policy=self.config.gap_policy,
-                refit_mode=self.config.refit_mode,
-                full_refit_every=self.config.refit_full_every,
             )
             self.trackers[object_id] = tracker
         for t, x, y in fixes:
@@ -509,10 +501,6 @@ class PredictionService:
         if flushed and stats is not None:
             self.metrics.counter(f"serve_refit_mode_total_{stats.mode}").inc()
             self.metrics.counter(f"serve_refit_index_total_{stats.index}").inc()
-            if stats.fallback is not None:
-                self.metrics.counter(
-                    f"serve_refit_fallback_total_{stats.fallback}"
-                ).inc()
         # The refreshed corpus may answer differently.
         self.cache.invalidate(object_id)
 

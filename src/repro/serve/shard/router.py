@@ -198,8 +198,10 @@ class RouterService:
     async def _teardown(self, state: _ShardState) -> None:
         if state.probe_task is not None:
             state.probe_task.cancel()
-            with suppress(asyncio.CancelledError):
-                await state.probe_task
+            # wait() rather than awaiting the task: the probe's own
+            # CancelledError stays inside it, while a cancel aimed at this
+            # teardown (a cancelled stop()) still propagates.
+            await asyncio.wait({state.probe_task})
         if state.probe_client is not None:
             await state.probe_client.close()
         await state.forwarder.stop()

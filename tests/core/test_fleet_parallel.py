@@ -1,11 +1,10 @@
 """Tests for the parallel fleet training pipeline.
 
-The contract under test: ``fit(histories, max_workers=N)`` and
-``predict_all(..., max_workers=N)`` produce results byte-identical to
-the serial paths in every executor mode, isolate per-object failures
-into a :class:`FleetFitError`, report progress, feed the fleet metrics,
-and ship models across the pickle boundary with metrics handles
-dropped.
+The contract under test: ``fit(histories, max_workers=N)`` produces
+models byte-identical to the serial path in every executor mode,
+isolates per-object failures into a :class:`FleetFitError`, reports
+progress, feeds the fleet metrics, and ships models across the pickle
+boundary with metrics handles dropped.
 """
 
 import pickle
@@ -137,26 +136,6 @@ class TestHooks:
         histogram = registry.histogram("fleet_fit_seconds")
         assert histogram.count == len(histories)
         assert histogram.total > 0.0
-
-
-class TestParallelPredictAll:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_matches_serial(self, serial_fleet, recents, executor):
-        serial = serial_fleet.predict_all(recents, 205)
-        parallel = serial_fleet.predict_all(
-            recents, 205, max_workers=3, executor=executor
-        )
-        assert list(parallel) == list(serial)
-        assert repr(parallel) == repr(serial)
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_unknown_object_raises(self, serial_fleet, recents, executor):
-        augmented = dict(recents)
-        augmented["ghost"] = recents["obj0"]
-        with pytest.raises(KeyError, match="ghost"):
-            serial_fleet.predict_all(
-                augmented, 205, max_workers=2, executor=executor
-            )
 
 
 class TestPickleSafety:

@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §11): for ANY split of a history into
 ``fit(prefix)`` followed by ``update(chunk_1) ... update(chunk_n)`` — in
-delta mode, full mode, or across the drift/staleness fallback boundary —
+delta mode, full mode, or across the key-drift rebuild boundary —
 the resulting model state and its predictions are byte-identical to one
 ``fit`` over the concatenated history.
 """
@@ -164,36 +164,22 @@ class TestChurnFreeUpdate:
         assert model_fingerprint(model) == model_fingerprint(oracle)
 
 
-class TestStalenessBudget:
-    def test_refit_full_every_forces_full(self):
-        config = make_config(refit_full_every=2)
-        positions = make_route(24, seed=7)
-        seed_rows = 18 * PERIOD
-        model = scratch(positions[:seed_rows], config)
-        seen = []
-        for at in range(seed_rows, positions.shape[0], 18):
-            model.update(positions[at : at + 18])
-            stats = model.last_refit_stats_
-            seen.append((stats.mode, stats.fallback))
-        # Budget of 2: two deltas, then a forced full, then the counter
-        # restarts.
-        assert seen[:3] == [
-            ("delta", None),
-            ("delta", None),
-            ("full", "staleness"),
-        ]
-        assert seen[3] == ("delta", None)
-
-    def test_explicit_full_resets_budget(self):
-        config = make_config(refit_full_every=2)
+class TestRefitOverride:
+    def test_explicit_full_applies_to_one_update(self):
+        """``update(refit="full")`` re-mines once; the next update falls
+        back to the config's delta mode."""
+        config = make_config()
         positions = make_route(22, seed=8)
         seed_rows = 18 * PERIOD
         model = scratch(positions[:seed_rows], config)
-        model.update(positions[seed_rows : seed_rows + 12])
-        model.update(positions[seed_rows + 12 : seed_rows + 24], refit="full")
-        model.update(positions[seed_rows + 24 : seed_rows + 36])
-        assert model.last_refit_stats_.mode == "delta"
-        assert model.last_refit_stats_.fallback is None
+        modes = []
+        for at, refit in ((0, None), (12, "full"), (24, None)):
+            lo = seed_rows + at
+            model.update(positions[lo : lo + 12], refit=refit)
+            modes.append(model.last_refit_stats_.mode)
+        assert modes == ["delta", "full", "delta"]
+        oracle = scratch(positions[: seed_rows + 36], config)
+        assert model_fingerprint(model) == model_fingerprint(oracle)
 
 
 class TestCorpusDeltaOps:

@@ -4,9 +4,8 @@ The contract under test: the packed-numpy kernel backend answers every
 FQP/BQP query **bit-identically** to the per-candidate scan oracle —
 same floats, same patterns, same tie order — while the plan demotes
 itself gracefully whenever the kernel is unavailable or raises, the
-kernel cache follows the consequence index's invalidation contract, the
-per-plan FQP memo stays bounded, and the opt-in velocity filter stays
-off by default.
+kernel cache follows the consequence index's invalidation contract, and
+the per-plan FQP memo stays bounded.
 """
 
 import pickle
@@ -24,7 +23,6 @@ from repro.core.model import HybridPredictionModel
 from repro.core.scorekernel import (
     KERNEL_BATCH_BUCKETS,
     pack_premise_tables,
-    pattern_min_speed,
     premise_scores,
     prime_plan_queries,
     top_indices,
@@ -346,53 +344,6 @@ class TestKernelFallback:
             assert plan.kernel_fallbacks == 1
             assert repr(got) == repr(scan_model.predict(window, 401 + horizon, 3))
         assert registry.counter("predict_kernel_fallback_total").value == 2
-
-
-# ----------------------------------------------------------------------
-# velocity partitioning (opt-in heuristic)
-# ----------------------------------------------------------------------
-class TestVelocityFilter:
-    def test_off_by_default(self, kernel_model):
-        assert kernel_model.config.velocity_filter is False
-        plan = kernel_model.prepare(make_window(401))
-        assert plan._velocity_cap is None
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HPMConfig(**CFG_KW, velocity_bands=1)
-        with pytest.raises(ValueError):
-            HPMConfig(**CFG_KW, velocity_slack=0.0)
-
-    def test_huge_slack_matches_unfiltered(self, kernel_model):
-        relaxed = clone_with_config(
-            kernel_model, velocity_filter=True, velocity_slack=1e12
-        )
-        for tc in (401, 407):
-            window = make_window(tc)
-            for h in (1, 3, 9, 20):
-                got = relaxed.predict(window, tc + h, 3)
-                want = kernel_model.predict(window, tc + h, 3)
-                assert repr(got) == repr(want)
-
-    def test_tight_cap_only_admits_slow_patterns(self, kernel_model):
-        strict = clone_with_config(
-            kernel_model, velocity_filter=True, velocity_slack=1e-6
-        )
-        # A single-sample window has speed 0 — the slowest band.
-        window = make_window(401, length=1)
-        plan = strict.prepare(window)
-        cap = plan._velocity_cap
-        assert cap is not None
-        for h in (2, 4, 9, 20):
-            for p in plan.predict(401 + h, 3):
-                if p.pattern is not None:
-                    assert pattern_min_speed(p.pattern) <= cap
-
-    def test_top_band_is_unbounded(self, kernel_model):
-        kernel = kernel_model._tree.score_kernel(
-            kernel_model.config.weight_function
-        )
-        assert kernel.velocity_cap(1e15, 2.0, 4) is None
 
 
 # ----------------------------------------------------------------------

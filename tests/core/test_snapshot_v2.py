@@ -19,7 +19,12 @@ from repro.core.config import HPMConfig
 from repro.core.fingerprint import model_fingerprint, prediction_fingerprint
 from repro.core.fleet import FleetPredictionModel
 from repro.core.model import HybridPredictionModel
-from repro.core.persistence import load_fleet, save_fleet, snapshot_stat
+from repro.core.persistence import (
+    load_fleet,
+    repack_snapshot,
+    save_fleet,
+    snapshot_stat,
+)
 from repro.trajectory import TimedPoint, Trajectory
 
 PERIOD = 12
@@ -214,6 +219,52 @@ class TestCorruptionPaths:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="does not match"):
             load_fleet(dest)
+
+
+def as_parent_written(snapshots, dest, **config):
+    """Copy the snapshot and add what snapshots written before the
+    velocity filter and the refit staleness budget were removed carry:
+    their four config keys and a listed ``kernel_minspeed`` block."""
+    shutil.copytree(snapshots / "v2", dest)
+    manifest_path = dest / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    retired = dict(
+        velocity_filter=False, velocity_bands=4, velocity_slack=2.0, refit_full_every=2
+    )
+    manifest["config"].update(retired, **config)
+    rows = manifest["blocks"]["kernel_rows"][0]
+    np.save(dest / "block_kernel_minspeed.npy", np.ones(rows, dtype="<f8"))
+    manifest["blocks"]["kernel_minspeed"] = [rows]
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    return dest
+
+
+class TestParentWrittenSnapshots:
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_loads_with_identical_fingerprints(
+        self, fitted_fleet, snapshots, tmp_path, mmap
+    ):
+        parent = as_parent_written(snapshots, tmp_path / "parent")
+        loaded = load_fleet(parent, mmap=mmap)
+        assert fleet_fingerprints(loaded) == fleet_fingerprints(fitted_fleet)
+
+    def test_survives_repack(self, fitted_fleet, snapshots, tmp_path):
+        parent = as_parent_written(snapshots, tmp_path / "parent")
+        repack_snapshot([parent], tmp_path / "repacked")
+        manifest = json.loads((tmp_path / "repacked" / "manifest.json").read_text())
+        assert "kernel_minspeed" not in manifest["blocks"]
+        assert "velocity_bands" not in manifest["config"]
+        loaded = load_fleet(tmp_path / "repacked")
+        assert fleet_fingerprints(loaded) == fleet_fingerprints(fitted_fleet)
+
+    def test_velocity_filter_on_is_refused(self, snapshots, tmp_path):
+        parent = as_parent_written(
+            snapshots, tmp_path / "parent", velocity_filter=True
+        )
+        with pytest.raises(ValueError, match="velocity_filter"):
+            load_fleet(parent)
+        with pytest.raises(ValueError, match="velocity_filter"):
+            repack_snapshot([parent], tmp_path / "repacked")
 
 
 class TestCopyOnWriteRefit:

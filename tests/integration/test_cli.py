@@ -205,8 +205,7 @@ class TestSnapshotTools:
 class TestServeFlags:
     FLAGS = [
         "--cache-entries", "64", "--cache-ttl", "0",
-        "--max-batch", "8", "--update-after", "3", "--refit-mode", "full",
-        "--refit-full-every", "4", "--gap-policy", "pad",
+        "--max-batch", "8", "--update-after", "3", "--gap-policy", "pad",
         "--max-inflight-predict", "7", "--max-inflight-ingest", "6",
         "--client-rate", "2.5", "--client-burst", "4", "--deadline-ms", "5",
         "--idle-timeout", "0", "--max-body-bytes", "2048",

@@ -1,7 +1,10 @@
 """Unit tests for the LRU + TTL prediction cache."""
 
+import asyncio
+
 import pytest
 
+from repro.serve import PredictionService, ServeConfig, render_predict_body
 from repro.serve.cache import PredictionCache
 from repro.serve.metrics import MetricsRegistry
 from repro.trajectory.point import TimedPoint
@@ -23,20 +26,42 @@ def window(*coords):
 
 
 class TestKeys:
-    def test_jitter_below_quantum_maps_to_same_key(self):
-        cache = PredictionCache(quantum=10.0)
-        a = cache.make_key("o", window((1, 100.0, 200.0)), 7, None)
-        b = cache.make_key("o", window((1, 102.0, 198.0)), 7, None)
-        assert a == b
+    def test_shifted_window_gets_its_own_answer(self, fleet, history):
+        """A window shifted by 0.1 is a different query: with the cache on
+        it must be answered exactly as with the cache off, not from the
+        unshifted window's entry."""
+        start = len(history)
+        # Far off the commuter route, so the motion function answers and
+        # the shift moves the predicted location.
+        recent = [(start + i, 20000.2 + 50.0 * i, -9000.2) for i in range(4)]
+        shifted = [(t, x + 0.1, y) for t, x, y in recent]
+        query_time = start + 6
+
+        async def bodies(config):
+            service = PredictionService(fleet, config)
+            out = []
+            for window in (recent, shifted):
+                predictions, _cached, _degraded = await service.predict(
+                    "default", window, query_time
+                )
+                out.append(render_predict_body("default", query_time, predictions))
+            await service.drain()
+            return out
+
+        cache_on = asyncio.run(bodies(ServeConfig()))
+        cache_off = asyncio.run(bodies(ServeConfig(enable_cache=False)))
+        assert cache_off[0] != cache_off[1]
+        assert cache_on == cache_off
 
     def test_distinct_dimensions_distinct_keys(self):
-        cache = PredictionCache(quantum=1.0)
+        cache = PredictionCache()
         base = window((1, 10.0, 10.0))
         key = cache.make_key("o", base, 7, None)
         assert cache.make_key("other", base, 7, None) != key
         assert cache.make_key("o", base, 8, None) != key
         assert cache.make_key("o", base, 7, 3) != key
         assert cache.make_key("o", window((2, 10.0, 10.0)), 7, None) != key
+        assert cache.make_key("o", window((1, 10.1, 10.0)), 7, None) != key
 
 
 class TestLruTtl:
@@ -101,5 +126,3 @@ class TestLruTtl:
             PredictionCache(max_entries=0)
         with pytest.raises(ValueError):
             PredictionCache(ttl=0)
-        with pytest.raises(ValueError):
-            PredictionCache(quantum=0)

@@ -526,3 +526,44 @@ class TestRouterService:
             await asyncio.wait_for(asyncio.shield(stop), 5.0)
 
         asyncio.run(body())
+
+    def test_cancelled_stop_stays_cancelled_while_awaiting_the_probe(self):
+        """A cancel aimed at stop() while it waits for a probe to wind
+        down must end stop(), not be swallowed as the probe's own."""
+
+        class SlowToStop:
+            def __init__(self):
+                loop = asyncio.get_running_loop()
+                self.entered = loop.create_future()
+                self.release = loop.create_future()
+
+            async def request(self, method, path):
+                if not self.entered.done():
+                    self.entered.set_result(None)
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    await self.release  # linger after the probe's cancel
+                    raise
+
+            async def close(self):
+                pass
+
+        async def body():
+            router = RouterService(RouterConfig(num_shards=1))
+            router.attach_shard(0, "127.0.0.1", 9)  # never dialled
+            state = router._shards[0]
+            probe = state.probe_client = SlowToStop()
+            await asyncio.wait_for(probe.entered, 5.0)
+            stop = asyncio.ensure_future(router.stop())
+            for _ in range(3):
+                await asyncio.sleep(0)  # stop() now awaits the probe task
+            assert not state.probe_task.done()
+            stop.cancel()
+            probe.release.set_result(None)
+            await asyncio.wait({stop}, timeout=5.0)
+            assert stop.cancelled()
+            await asyncio.wait({state.probe_task}, timeout=5.0)
+            await state.forwarder.stop()
+
+        asyncio.run(body())

@@ -11,12 +11,13 @@ name (higher-is-better for ``speedup``/``goodput``/``throughput``/
 field that regressed beyond ``--tolerance`` (a fraction: 0.5 means a
 smoke speedup may be up to 50% below baseline before it counts).
 
-Boolean fields ending in ``identical``/``ok``/``passed`` must not flip
-from true to false regardless of tolerance.
+Every boolean field that is true in the baseline (fingerprint identity
+flags, gates, drill outcomes) must hold: one that turns false is a
+failure and the tool exits 1, with or without ``--fail``.
 
-Default is **warn** mode (always exit 0, print findings) so CI noise
-never blocks a merge; ``--fail`` turns findings into a non-zero exit for
-local gating.
+Timing drift is **warn** mode by default (printed, exit 0) so CI noise
+never blocks a merge; ``--fail`` turns it into a non-zero exit for local
+gating.
 
     python tools/check_bench_regression.py BENCH_snapshot.json \
         --baseline path/to/committed/BENCH_snapshot.json --tolerance 0.5
@@ -40,8 +41,6 @@ LOWER_BETTER = (
     "p95",
     "p99",
 )
-MUST_HOLD = ("identical", "ok", "passed")
-
 
 def _flatten(value, prefix: str = "") -> dict[str, object]:
     """``{"a": {"b": 1}} -> {"a.b": 1}``; lists are indexed."""
@@ -70,16 +69,17 @@ def direction(field: str) -> int:
 
 def compare(
     current: dict, baseline: dict, tolerance: float
-) -> list[str]:
+) -> tuple[list[str], list[str]]:
+    """``(broken, drifted)``: baseline-true flags that no longer hold, and
+    numeric fields that regressed beyond ``tolerance``."""
     cur, base = _flatten(current), _flatten(baseline)
-    findings: list[str] = []
+    broken: list[str] = []
+    drifted: list[str] = []
     for field in sorted(cur.keys() & base.keys()):
         c, b = cur[field], base[field]
         if isinstance(c, bool) or isinstance(b, bool):
-            name = field.lower()
-            if any(name.endswith(tag) for tag in MUST_HOLD):
-                if bool(b) and not bool(c):
-                    findings.append(f"{field}: flipped true -> false")
+            if b is True and c is not True:
+                broken.append(f"{field}: flipped true -> {json.dumps(c)}")
             continue
         if not isinstance(c, (int, float)) or not isinstance(b, (int, float)):
             continue
@@ -87,16 +87,16 @@ def compare(
         if sign == 0 or b == 0:
             continue
         if sign > 0 and c < b * (1.0 - tolerance):
-            findings.append(
+            drifted.append(
                 f"{field}: {c:.4g} is more than {tolerance:.0%} below "
                 f"baseline {b:.4g}"
             )
         elif sign < 0 and c > b * (1.0 + tolerance):
-            findings.append(
+            drifted.append(
                 f"{field}: {c:.4g} is more than {tolerance:.0%} above "
                 f"baseline {b:.4g}"
             )
-    return findings
+    return broken, drifted
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fail",
         action="store_true",
-        help="exit non-zero on findings instead of warning",
+        help="exit non-zero on timing drift too, instead of warning",
     )
     args = parser.parse_args(argv)
 
@@ -132,17 +132,19 @@ def main(argv: list[str] | None = None) -> int:
     current = json.loads(current_path.read_text())
     baseline = json.loads(baseline_path.read_text())
 
-    findings = compare(current, baseline, args.tolerance)
-    if not findings:
+    broken, drifted = compare(current, baseline, args.tolerance)
+    if not broken and not drifted:
         print(
             f"{current_path.name}: no regressions vs {baseline_path} "
             f"(tolerance {args.tolerance:.0%})"
         )
         return 0
+    for finding in broken:
+        print(f"FAILED: {current_path.name}: {finding}")
     label = "REGRESSION" if args.fail else "warning"
-    for finding in findings:
+    for finding in drifted:
         print(f"{label}: {current_path.name}: {finding}")
-    return 1 if args.fail else 0
+    return 1 if broken or (drifted and args.fail) else 0
 
 
 if __name__ == "__main__":
